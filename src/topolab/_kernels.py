@@ -1,25 +1,12 @@
 """Hot loops behind topology enumeration and the weak-reflection sweep.
 
-Each kernel has a jit-compiled implementation and a vectorized numpy
-fallback.  Setting TOPOLAB_NO_NUMBA (to anything nonempty) selects the
-fallback, as does an unavailable numba.  Both implementations are kept
-importable so the benchmark and the agreement tests can run them side by
-side; the public names `topology_codes` and `reflection_counts` point at
-the selected backend.
+Both kernels are vectorized numpy scans over every candidate at once.
+`reflection_counts_bruteforce` is the pure-python reference the tests pin
+`reflection_counts` against.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-
-_FORCE_FALLBACK = bool(os.environ.get("TOPOLAB_NO_NUMBA"))
-BACKEND = "numpy" if njit is None or _FORCE_FALLBACK else "numba"
 
 
 # -- topology enumeration --------------------------------------------
@@ -30,7 +17,7 @@ BACKEND = "numpy" if njit is None or _FORCE_FALLBACK else "numba"
 # the on-bits are closed under union and intersection of masks.
 
 
-def _topology_codes_numpy(n: int) -> np.ndarray:
+def topology_codes(n: int) -> np.ndarray:
     nsub = 1 << n
     full = nsub - 1
     codes = np.arange(1 << nsub, dtype=np.uint32)
@@ -43,33 +30,6 @@ def _topology_codes_numpy(n: int) -> np.ndarray:
     return codes[ok]
 
 
-def _topology_codes_py(n: int) -> np.ndarray:
-    nsub = 1 << n
-    full = nsub - 1
-    total = 1 << nsub
-    out = np.empty(total, dtype=np.uint32)
-    count = 0
-    for code in range(total):
-        if not (code >> 0) & 1 or not (code >> full) & 1:
-            continue
-        good = True
-        for s in range(nsub):
-            if not (code >> s) & 1:
-                continue
-            for t in range(s + 1, nsub):
-                if not (code >> t) & 1:
-                    continue
-                if not (code >> (s | t)) & 1 or not (code >> (s & t)) & 1:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            out[count] = code
-            count += 1
-    return out[:count]
-
-
 # -- weak-reflection sweep -------------------------------------------
 #
 # For one (source space, target space) pair and the source's quotient
@@ -77,7 +37,6 @@ def _topology_codes_py(n: int) -> np.ndarray:
 # bitmap), count over all point maps f: source -> target:
 #   continuous:  every target open pulls back to a source open
 #   factored:    some continuous F: quotient -> target has F(assign(x)) = f(x)
-#   unique:      exactly one such F
 # The quotient map is surjective, so a factoring F is pointwise forced by
 # f; existence therefore reduces to f being constant on classes with the
 # forced F continuous, and a factoring is automatically unique.  The
@@ -85,72 +44,13 @@ def _topology_codes_py(n: int) -> np.ndarray:
 # `reflection_counts_bruteforce` so the reduction itself stays under test.
 
 
-def _reflection_counts_py(n_s: int, src_bitmap: np.ndarray,
-                          n_q: int, q_bitmap: np.ndarray,
-                          assign: np.ndarray,
-                          n_t: int, tgt_opens: np.ndarray) -> np.ndarray:
-    out = np.zeros(3, dtype=np.int64)
+def reflection_counts(n_s: int, src_bitmap: np.ndarray,
+                      n_q: int, q_bitmap: np.ndarray,
+                      assign: np.ndarray,
+                      n_t: int, tgt_opens: np.ndarray) -> np.ndarray:
+    out = np.zeros(2, dtype=np.int64)
     if n_s == 0:
         # the empty map: continuous, factored through the empty quotient
-        out[:] = 1
-        return out
-    if n_t == 0:
-        return out
-    f = np.zeros(n_s, dtype=np.int64)
-    while True:
-        cont = True
-        for j in range(tgt_opens.shape[0]):
-            o = tgt_opens[j]
-            pre = 0
-            for x in range(n_s):
-                if (o >> f[x]) & 1:
-                    pre |= 1 << x
-            if not src_bitmap[pre]:
-                cont = False
-                break
-        if cont:
-            out[0] += 1
-            forced = np.full(n_q, -1, dtype=np.int64)
-            consistent = True
-            for x in range(n_s):
-                c = assign[x]
-                if forced[c] == -1:
-                    forced[c] = f[x]
-                elif forced[c] != f[x]:
-                    consistent = False
-                    break
-            if consistent:
-                fcont = True
-                for j in range(tgt_opens.shape[0]):
-                    o = tgt_opens[j]
-                    pre = 0
-                    for c in range(n_q):
-                        if (o >> forced[c]) & 1:
-                            pre |= 1 << c
-                    if not q_bitmap[pre]:
-                        fcont = False
-                        break
-                if fcont:
-                    out[1] += 1
-                    out[2] += 1
-        k = 0
-        while k < n_s:
-            f[k] += 1
-            if f[k] < n_t:
-                break
-            f[k] = 0
-            k += 1
-        if k == n_s:
-            break
-    return out
-
-
-def _reflection_counts_numpy(n_s: int, src_bitmap: np.ndarray,
-                             n_q: int, q_bitmap: np.ndarray,
-                             assign: np.ndarray,
-                             n_t: int, tgt_opens: np.ndarray) -> np.ndarray:
-    out = np.zeros(3, dtype=np.int64)
-    if n_s == 0:
         out[:] = 1
         return out
     if n_t == 0:
@@ -186,13 +86,17 @@ def _reflection_counts_numpy(n_s: int, src_bitmap: np.ndarray,
         inside = (o >> forced) & 1
         pre = (inside << np.arange(n_q, dtype=np.int64)[None, :]).sum(axis=1)
         good &= q_bitmap[pre]
-    out[1] = out[2] = int(good.sum())
+    out[1] = int(good.sum())
     return out
 
 
 def reflection_counts_bruteforce(n_s: int, src_bitmap, n_q: int, q_bitmap,
                                  assign, n_t: int, tgt_opens) -> tuple[int, int, int]:
-    """Reference implementation: try every factor map outright."""
+    """Reference implementation: try every factor map outright.
+
+    Returns (continuous, factored, unique): maps that are continuous, that
+    have at least one continuous factorization, and that have exactly one.
+    """
     import itertools
 
     def continuous(npts, fmap, bitmap):
@@ -218,18 +122,3 @@ def reflection_counts_bruteforce(n_s: int, src_bitmap, n_q: int, q_bitmap,
         nfact += 1 if hits >= 1 else 0
         nuniq += 1 if hits == 1 else 0
     return ncont, nfact, nuniq
-
-
-if njit is not None:
-    _topology_codes_jit = njit(cache=True)(_topology_codes_py)
-    _reflection_counts_jit = njit(cache=True)(_reflection_counts_py)
-else:  # pragma: no cover
-    _topology_codes_jit = None
-    _reflection_counts_jit = None
-
-if BACKEND == "numba":
-    topology_codes = _topology_codes_jit
-    reflection_counts = _reflection_counts_jit
-else:
-    topology_codes = _topology_codes_numpy
-    reflection_counts = _reflection_counts_numpy

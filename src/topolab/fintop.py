@@ -6,8 +6,8 @@ powers) manipulates these spaces, so the checkers here are written
 directly from the definitions and every false flag carries a witness.
 
 The enumerator of all topologies on up to 4 points doubles as the
-brute-force oracle for the separation equivalences; its hot scan lives
-in _kernels with a jit and a vectorized implementation.
+brute-force oracle for the separation equivalences; its hot scan is the
+vectorized numpy kernel in _kernels.
 """
 from __future__ import annotations
 

@@ -242,8 +242,13 @@ def test_c09_functoriality(capsys):
 
 def test_c10_weak_reflections_exhaustive(capsys):
     failures = []
+    # sources and t0 targets are partial sums of OEIS A000798 and A001035
+    expected = {"t0": (390, 243, 3_045_545), "t2": (390, 5, 8_209)}
     for kind, unique in (("t0", True), ("t2", False)):
         rep = weak_reflection_sweep(4, kind=kind)
+        if (rep.sources, rep.targets, rep.maps) != expected[kind]:
+            failures.append(f"{kind}: sources, targets, maps = "
+                            f"{(rep.sources, rep.targets, rep.maps)}, want {expected[kind]}")
         if rep.unfactored_pairs:
             failures.append(f"{kind}: no factorization at {rep.unfactored_pairs[0]}")
         if unique and rep.nonunique_pairs:

@@ -1,23 +1,9 @@
-"""Backend agreement: jit, vectorized, and brute-force paths must match."""
-import os
-import subprocess
-import sys
-
+"""The numpy reflection kernel must match the brute-force search."""
 import numpy as np
 
 from topolab import _kernels
 from topolab.fintop import enumerate_topologies, property_report
-from topolab.reflect import _space_bitmap, t0_reflection, weak_reflection_sweep
-
-
-def test_topology_codes_backends_agree():
-    for n in range(5):
-        a = sorted(int(c) for c in _kernels._topology_codes_numpy(n))
-        b = sorted(int(c) for c in _kernels._topology_codes_py(n))
-        assert a == b
-        if _kernels._topology_codes_jit is not None:
-            c = sorted(int(x) for x in _kernels._topology_codes_jit(n))
-            assert a == c
+from topolab.reflect import _space_bitmap, t0_reflection
 
 
 def _pair_args(src, tgt):
@@ -28,18 +14,21 @@ def _pair_args(src, tgt):
             tgt.n, np.asarray(tgt.opens, dtype=np.int64))
 
 
+def _check_against_bruteforce(args):
+    # the kernel reports (continuous, factored); the search also counts maps
+    # with exactly one factorization, which must be every factored one
+    ncont, nfact, nuniq = _kernels.reflection_counts_bruteforce(*args)
+    got = tuple(int(v) for v in _kernels.reflection_counts(*args))
+    assert got == (ncont, nfact)
+    assert nfact == nuniq
+
+
 def test_reflection_counts_all_paths_agree():
     spaces = [s for n in range(3) for s in enumerate_topologies(n)]
     targets = [s for s in spaces if property_report(s).t0]
-    impls = [_kernels._reflection_counts_numpy, _kernels._reflection_counts_py]
-    if _kernels._reflection_counts_jit is not None:
-        impls.append(_kernels._reflection_counts_jit)
     for src in spaces:
         for tgt in targets:
-            args = _pair_args(src, tgt)
-            want = _kernels.reflection_counts_bruteforce(*args)
-            for impl in impls:
-                assert tuple(int(v) for v in impl(*args)) == tuple(want)
+            _check_against_bruteforce(_pair_args(src, tgt))
 
 
 def test_reflection_counts_three_point_sample():
@@ -48,22 +37,4 @@ def test_reflection_counts_three_point_sample():
     targets = [s for s in spaces if property_report(s).t0]
     for src in spaces[::7]:
         for tgt in targets[::5]:
-            args = _pair_args(src, tgt)
-            want = tuple(_kernels.reflection_counts_bruteforce(*args))
-            got = tuple(int(v) for v in _kernels.reflection_counts(*args))
-            assert got == want
-
-
-def test_sweep_clean_on_both_backends():
-    rep = weak_reflection_sweep(3, kind="t0")
-    assert rep.unfactored_pairs == () and rep.nonunique_pairs == ()
-    rep = weak_reflection_sweep(3, kind="t2")
-    assert rep.unfactored_pairs == () and rep.nonunique_pairs == ()
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, TOPOLAB_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from topolab import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
+            _check_against_bruteforce(_pair_args(src, tgt))
