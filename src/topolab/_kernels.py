@@ -32,62 +32,59 @@ def topology_codes(n: int) -> np.ndarray:
 
 # -- weak-reflection sweep -------------------------------------------
 #
-# For one (source space, target space) pair and the source's quotient
-# (assign: source point -> class, with the quotient space's open-family
-# bitmap), count over all point maps f: source -> target:
+# One call handles every source space on n_s points against one target
+# space on n_t points.  Source i comes with its quotient (the reflection,
+# a map assign_i onto the quotient's classes) through four tables over
+# the 2**n_s subset masks of the source points:
+#   src_bitmaps[i, A]   A is open in source i
+#   class_image[i, A]   the mask of the classes that meet A
+#   q_bitmaps[i, C]     class mask C is open in the quotient (padded)
+#   saturated[i, A]     A is a union of classes
+# Over all point maps f: source -> target it counts, per source:
 #   continuous:  every target open pulls back to a source open
 #   factored:    some continuous F: quotient -> target has F(assign(x)) = f(x)
 # The quotient map is surjective, so a factoring F is pointwise forced by
-# f; existence therefore reduces to f being constant on classes with the
-# forced F continuous, and a factoring is automatically unique.  The
-# exhaustive search over all F is kept, in pure python, as
-# `reflection_counts_bruteforce` so the reduction itself stays under test.
+# f.  It exists iff every fibre of f is saturated (f is constant on
+# classes) and every pullback of F is open in the quotient; the pullback
+# of a target open under F is the class image of its pullback under f.
+# A factoring is therefore unique.  The exhaustive search over all F is
+# kept, in pure python, as `reflection_counts_bruteforce` so the reduction
+# itself stays under test.
 
 
-def reflection_counts(n_s: int, src_bitmap: np.ndarray,
-                      n_q: int, q_bitmap: np.ndarray,
-                      assign: np.ndarray,
-                      n_t: int, tgt_opens: np.ndarray) -> np.ndarray:
-    out = np.zeros(2, dtype=np.int64)
-    if n_s == 0:
-        # the empty map: continuous, factored through the empty quotient
-        out[:] = 1
-        return out
-    if n_t == 0:
-        return out
+def _preimage_table(n_s: int, n_t: int, masks: np.ndarray) -> np.ndarray:
+    """(len(masks), n_t**n_s) table: the pullback of each target point mask
+    under each point map, map m sending x to digit x of m in base n_t."""
     total = n_t ** n_s
     codes = np.arange(total, dtype=np.int64)
-    digits = np.empty((total, n_s), dtype=np.int64)
-    rest = codes
+    out = np.zeros((len(masks), total), dtype=np.int64)
     for x in range(n_s):
-        digits[:, x] = rest % n_t
-        rest = rest // n_t
-    cont = np.ones(total, dtype=bool)
-    for j in range(tgt_opens.shape[0]):
-        o = int(tgt_opens[j])
-        inside = (o >> digits) & 1
-        pre = (inside << np.arange(n_s, dtype=np.int64)[None, :]).sum(axis=1)
-        cont &= src_bitmap[pre]
-    out[0] = int(cont.sum())
-    # forced factor map: f must be constant on classes and the induced map continuous
-    consistent = np.ones(total, dtype=bool)
-    forced = np.zeros((total, n_q), dtype=np.int64)
-    seen = np.zeros(n_q, dtype=bool)
-    for x in range(n_s):
-        c = int(assign[x])
-        if not seen[c]:
-            forced[:, c] = digits[:, x]
-            seen[c] = True
-        else:
-            consistent &= forced[:, c] == digits[:, x]
-    good = cont & consistent
-    for j in range(tgt_opens.shape[0]):
-        o = int(tgt_opens[j])
-        inside = (o >> forced) & 1
-        pre = (inside << np.arange(n_q, dtype=np.int64)[None, :]).sum(axis=1)
-        good &= q_bitmap[pre]
-    out[1] = int(good.sum())
+        digit = codes // n_t ** x % n_t
+        out |= ((masks[:, None] >> digit[None, :]) & 1) << x
     return out
+
+
+def reflection_counts(n_s: int, src_bitmaps: np.ndarray,
+                      class_image: np.ndarray, q_bitmaps: np.ndarray,
+                      saturated: np.ndarray,
+                      n_t: int, tgt_opens: np.ndarray
+                      ) -> tuple[int, np.ndarray, np.ndarray]:
+    """(maps continuous over all sources, continuous per source, factored
+    per source) for the k sources stacked in the (k, 2**n_s) tables."""
+    pre = _preimage_table(n_s, n_t, np.asarray(tgt_opens, dtype=np.int64))
+    fibres = _preimage_table(n_s, n_t, np.int64(1) << np.arange(n_t, dtype=np.int64))
+    cont = np.ones((src_bitmaps.shape[0], pre.shape[1]), dtype=bool)
+    for row in pre:
+        cont &= src_bitmaps[:, row]
+    good = cont.copy()
+    for row in fibres:
+        good &= saturated[:, row]
+    # q_open[i, A]: the class image of A is open in quotient i
+    q_open = np.take_along_axis(q_bitmaps, class_image, axis=1)
+    for row in pre:
+        good &= q_open[:, row]
+    ncont = cont.sum(axis=1)
+    return int(ncont.sum()), ncont, good.sum(axis=1)
 
 
 def reflection_counts_bruteforce(n_s: int, src_bitmap, n_q: int, q_bitmap,

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .fintop import (
     FinSpace,
+    check_enum_size,
     enumerate_topologies,
     hasse_dot,
     iso_check,
@@ -494,6 +495,7 @@ def cmd_dcomp(path: str, report: Report) -> None:
 
 
 def cmd_enumerate(n: int, report: Report) -> None:
+    check_enum_size(n)
     counts = []
     all_ok_equiv = True
     all_ok_mono = True
@@ -543,7 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_file:
             sp.add_argument("file", help="presentation file")
         sp.add_argument("--format", choices=("text", "structured"), default="text")
-        sp.add_argument("--dot", metavar="PATH", help="also write a DOT diagram")
+        if with_file and name != "dot":  # the side diagram of a file command
+            sp.add_argument("--dot", metavar="PATH", help="also write a DOT diagram")
         return sp
 
     for name in ("check", "star", "beta", "beta2", "retract", "dcomp"):
@@ -578,7 +581,7 @@ def run(args: argparse.Namespace) -> Report:
             cmd_dot(args.file, args.out, report)
         else:
             handler[args.command](args.file, report)
-        if getattr(args, "dot", None) and args.command not in ("dot", "enumerate"):
+        if getattr(args, "dot", None):
             _write_dot(build_star(_load(args.file), _atom_cap()), args.dot)
             report.add("dot-written", INFO, args.dot)
     report.elapsed_ms = (time.perf_counter() - started) * 1000.0

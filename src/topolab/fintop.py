@@ -379,11 +379,16 @@ def iso_check(a: FinSpace, b: FinSpace) -> tuple[int, ...] | None:
     return tuple(image) if extend(0) else None
 
 
+def check_enum_size(n: int) -> None:
+    """Refuse a point count outside 0..MAX_ENUM_POINTS."""
+    if not 0 <= n <= MAX_ENUM_POINTS:
+        raise SizeCapExceeded(f"enumeration takes 0 to {MAX_ENUM_POINTS} points, not {n}")
+
+
 def enumerate_topologies(n: int) -> Iterator[FinSpace]:
     """Every topology on 0..n-1 exactly once, ascending in the bit encoding
     of the open family (bit s on iff subset-mask s is open)."""
-    if not 0 <= n <= MAX_ENUM_POINTS:
-        raise SizeCapExceeded(f"enumeration capped at {MAX_ENUM_POINTS} points")
+    check_enum_size(n)
     for code in _kernels.topology_codes(n):
         code = int(code)
         yield FinSpace(n, tuple(s for s in range(1 << n) if (code >> s) & 1))

@@ -279,13 +279,26 @@ def _space_bitmap(s: FinSpace) -> np.ndarray:
     return out
 
 
+def _class_tables(q: QuotientMap) -> tuple[np.ndarray, ...]:
+    """The per-source rows `_kernels.reflection_counts` takes: over the
+    subset masks of the source, its open bitmap, the class image, the
+    quotient's open bitmap (padded to the same width) and whether the
+    subset is a union of classes."""
+    nsub = 1 << q.source.n
+    image = np.array([q.image(a) for a in range(nsub)], dtype=np.int64)
+    q_bitmap = np.zeros(nsub, dtype=np.bool_)
+    q_bitmap[list(q.target.opens)] = True
+    saturated = np.array([q.preimage(int(c)) == a for a, c in enumerate(image)])
+    return _space_bitmap(q.source), image, q_bitmap, saturated
+
+
 def weak_reflection_sweep(max_n: int = 4, kind: str = "t0") -> SweepReport:
     """Check the weak universal property exhaustively.
 
     Every continuous map from any space on ≤ max_n points into any T0
     (resp. discrete) space on ≤ max_n points must factor through the T0
-    (resp. T2) reflection.  The per-pair counting runs in
-    `_kernels.reflection_counts`.
+    (resp. T2) reflection.  `_kernels.reflection_counts` counts each
+    target against all sources of one size at once.
 
     `nonunique_pairs` is always empty: a `QuotientMap` is onto (its
     constructor rejects anything else), so a factoring map is forced on
@@ -294,25 +307,29 @@ def weak_reflection_sweep(max_n: int = 4, kind: str = "t0") -> SweepReport:
     """
     if kind not in ("t0", "t2"):
         raise ValueError("kind must be 't0' or 't2'")
-    sources = [s for n in range(max_n + 1) for s in enumerate_topologies(n)]
+    if max_n < 0:
+        raise ValueError("max_n must be at least 0")
+    by_size = [list(enumerate_topologies(n)) for n in range(max_n + 1)]
+    sources = [s for spaces in by_size for s in spaces]
     if kind == "t0":
         targets = [s for s in sources if property_report(s).t0]
-        quotients = [t0_reflection(s) for s in sources]
+        reflection = t0_reflection
     else:
         targets = [FinSpace(n, tuple(range(1 << n))) for n in range(max_n + 1)]
-        quotients = [t2_reflection(s) for s in sources]
-    src_data = []
-    for s, q in zip(sources, quotients):
-        src_data.append((s.n, _space_bitmap(s), q.target.n, _space_bitmap(q.target),
-                         np.array(q.assign, dtype=np.int64)))
+        reflection = t2_reflection
+    batches = []  # (index of the first source, size, stacked tables)
+    first = 0
+    for n, spaces in enumerate(by_size):
+        rows = zip(*(_class_tables(reflection(s)) for s in spaces))
+        batches.append((first, n, [np.stack(r) for r in rows]))
+        first += len(spaces)
     unfactored = []
     total_maps = 0
     for ti, t in enumerate(targets):
         opens = np.array(t.opens, dtype=np.int64)
-        for si, (n_s, sbm, n_q, qbm, assign) in enumerate(src_data):
-            ncont, nfact = (int(v) for v in _kernels.reflection_counts(
-                n_s, sbm, n_q, qbm, assign, t.n, opens))
+        for first, n_s, (sbm, image, qbm, saturated) in batches:
+            ncont, cont, fact = _kernels.reflection_counts(
+                n_s, sbm, image, qbm, saturated, t.n, opens)
             total_maps += ncont
-            if nfact != ncont:
-                unfactored.append((si, ti))
+            unfactored.extend((first + int(i), ti) for i in np.flatnonzero(fact != cont))
     return SweepReport(len(sources), len(targets), total_maps, tuple(unfactored), ())

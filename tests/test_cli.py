@@ -181,6 +181,24 @@ def test_enumerate_counts(capsys):
     assert all(i["status"] == "pass" for i in doc["items"])
 
 
+@pytest.mark.parametrize("n", ["-1", "5"])
+def test_enumerate_refuses_sizes_outside_the_cap(n, capsys):
+    assert main(["enumerate", "--n", n, "--format", "structured"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "enumeration takes 0 to 4 points" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "2"],
+    ["dot", str(PRES / "sierpinski.top"), "--out", "never-written.dot"],
+])
+def test_dot_side_flag_rejected_where_it_would_be_ignored(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--dot", str(tmp_path / "side.dot")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dot" in capsys.readouterr().err
+
+
 def test_structured_output_is_deterministic(capsys):
     argv = ["check", str(PRES / "n_inf.top"), "--format", "structured"]
     assert main(argv) == 0

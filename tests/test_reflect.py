@@ -247,6 +247,13 @@ def test_weak_reflection_sweep_clean():
         weak_reflection_sweep(2, kind="t1")
 
 
+def test_weak_reflection_sweep_refuses_negative_sizes():
+    with pytest.raises(ValueError):
+        weak_reflection_sweep(-1)
+    with pytest.raises(ValueError):
+        weak_reflection_sweep(-1, kind="t2")
+
+
 # -- model and space checkers agree ----------------------------------------------
 
 def test_model_normality_matches_space_normality(enumerations):
