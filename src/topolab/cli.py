@@ -22,6 +22,7 @@ from .errors import (
     NoRetraction,
     AmbiguousRetraction,
     ParseError,
+    SizeCapExceeded,
     TopolabError,
     UnknownName,
     UsageError,
@@ -50,6 +51,11 @@ from .star import (
 )
 
 PASS, FAIL, WARN, INFO = "pass", "fail", "warn", "info"
+
+# Reports name a nonstandard atom by its set expression, one term per
+# explicit point or residue class.  Near PERIOD_CAP one atom can need a
+# million terms, which no report can print in bounded time.
+MAX_LABEL_TERMS = 1 << 12
 
 
 # -- presentation files ------------------------------------------------
@@ -317,7 +323,16 @@ def _load(path: str) -> SpacePresentation:
 
 def _atom_label(m: StarModel, i: int) -> str:
     s = m.labels[i]
-    return f"x{s}" if s is not None else m.atoms[i].describe()
+    if s is not None:
+        return f"x{s}"
+    atom = m.atoms[i]
+    # canonical residues are all ones only at period 1, so this is the term count
+    terms = atom.low.bit_count() + atom.residues.bit_count()
+    if terms > MAX_LABEL_TERMS:
+        raise SizeCapExceeded(
+            f"atom {i} takes {terms} terms to write out, over the label cap of "
+            f"{MAX_LABEL_TERMS}")
+    return atom.describe()
 
 
 def _mask_text(m: StarModel, mask: int) -> str:

@@ -14,6 +14,7 @@ can be enumerated outright.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -25,8 +26,10 @@ from .errors import (
     OutOfGround,
     ParseError,
     PeriodOverflow,
+    SizeCapExceeded,
     UnknownName,
 )
+from .fintop import MAX_POINTS
 
 PERIOD_CAP = 1 << 20
 GENERATOR_CAP = 16
@@ -58,16 +61,28 @@ class Ground:
 OMEGA = Ground(None)
 
 
-def _divisors(p: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= p:
-        if p % d == 0:
-            small.append(d)
-            if d != p // d:
-                large.append(p // d)
-        d += 1
-    return small + large[::-1]
+@functools.lru_cache(maxsize=1024)
+def _primes_of(p: int) -> tuple[int, ...]:
+    """The distinct prime factors of p, by trial division (p <= PERIOD_CAP)."""
+    out = []
+    q = 2
+    while q * q <= p:
+        if p % q == 0:
+            out.append(q)
+            while p % q == 0:
+                p //= q
+        q += 1
+    if p > 1:
+        out.append(p)
+    return tuple(out)
+
+
+def _replicate(word: int, d: int, n: int) -> int:
+    """The first n bits of the d-bit word repeated forever (shift-or doubling)."""
+    while d < n:
+        word |= word << d
+        d <<= 1
+    return word & ((1 << n) - 1)
 
 
 @dataclass(frozen=True)
@@ -204,59 +219,65 @@ class DefSet:
     def describe(self) -> str:
         """Render as a parseable set expression (round-trips through parse_set_expr)."""
         if self.ground.is_finite:
-            return "{" + ",".join(str(m) for m in self.members_below(self.ground.size)) + "}"
+            return "{" + ",".join(map(str, _bit_positions(self.low))) + "}"
         parts = []
-        lows = [m for m in range(self.threshold) if (self.low >> m) & 1]
+        lows = _bit_positions(self.low)
         if lows:
             parts.append("{" + ",".join(map(str, lows)) + "}")
         if self.residues and self.residues == (1 << self.period) - 1:
             parts.append(f"tail({self.threshold})")
         else:
             t, p = self.threshold, self.period
-            for r in range(p):
-                if (self.residues >> r) & 1:
-                    parts.append(f"ap({t + ((r - t) % p)},{p})")
+            parts.extend(f"ap({t + ((r - t) % p)},{p})" for r in _bit_positions(self.residues))
         return "|".join(parts) if parts else "{}"
+
+
+def _bit_positions(x: int) -> list[int]:
+    """Indices of the set bits of x, ascending, in one pass over its binary digits."""
+    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
 
 
 def _canonical(low: int, t: int, p: int, res: int) -> tuple[int, int, int, int]:
     """Minimize (threshold, period) without changing pointwise membership.
 
     Eventual periods of a set are closed under gcd, so the minimal one
-    divides any valid period; it is found among the divisors of p.  The
-    threshold then shrinks while the last explicit bit already matches
-    the tail pattern.
+    divides p, and p/q is a period for a prime q exactly when the
+    minimal period divides p/q: dividing out each prime while the
+    quotient still reproduces the residue word reaches the minimum.  The
+    threshold then drops to just past the highest explicit bit that
+    differs from the tail pattern unrolled from 0.
     """
-    for d in _divisors(p):
-        if d == p:
-            break
-        shrunk = res & ((1 << d) - 1)
-        if all(((res >> r) & 1) == ((shrunk >> (r % d)) & 1) for r in range(p)):
+    for q in _primes_of(p):
+        while p % q == 0:
+            d = p // q
+            shrunk = res & ((1 << d) - 1)
+            if _replicate(shrunk, d, p) != res:
+                break
             res, p = shrunk, d
-            break
-    while t > 0:
-        m = t - 1
-        if ((low >> m) & 1) != ((res >> (m % p)) & 1):
-            break
-        t = m
-        low &= (1 << t) - 1
-    return low, t, p, res
+    t = (low ^ _replicate(res, p, t)).bit_length()
+    return low & ((1 << t) - 1), t, p, res
 
 
 def ds_member(s: DefSet, n: int) -> bool:
     return n in s
 
 
-def _tail_bit(s: DefSet, m: int) -> int:
-    if m < s.threshold:
-        return (s.low >> m) & 1
-    return (s.residues >> (m % s.period)) & 1
+def ds_window(s: DefSet, t: int, p: int) -> tuple[int, int]:
+    """s redescribed over threshold t and period p, as (low, residues).
+
+    Needs t >= s.threshold and p a multiple of s.period; the residues
+    repeat out to p and the tail pattern fills the low bits in
+    [s.threshold, t).  A finite-ground set comes back as (low, 0).
+    """
+    res = _replicate(s.residues, s.period, p)
+    fill = _replicate(res, p, t) >> s.threshold << s.threshold
+    return s.low | fill, res
 
 
 _OPS: dict[str, Callable[[int, int], int]] = {
     "union": lambda a, b: a | b,
     "inter": lambda a, b: a & b,
-    "diff": lambda a, b: a & ~b & 1,
+    "diff": lambda a, b: a & ~b,
 }
 
 
@@ -278,18 +299,14 @@ def ds_combine(op: str, a: DefSet, b: DefSet | None = None) -> DefSet:
         raise GroundMismatch(f"{a.ground!r} vs {b.ground!r}")
     f = _OPS[op]
     if a.ground.is_finite:
-        mask = (1 << a.ground.size) - 1
-        low = sum(1 << m for m in range(a.ground.size)
-                  if f((a.low >> m) & 1, (b.low >> m) & 1)) & mask
-        return DefSet(a.ground, low, a.ground.size)
+        return DefSet(a.ground, f(a.low, b.low), a.ground.size)
     t = max(a.threshold, b.threshold)
     p = math.lcm(a.period, b.period)
     if p > PERIOD_CAP:
         raise PeriodOverflow(f"lcm({a.period}, {b.period}) = {p} exceeds cap {PERIOD_CAP}")
-    low = sum(1 << m for m in range(t) if f(_tail_bit(a, m), _tail_bit(b, m)))
-    res = sum(1 << r for r in range(p)
-              if f((a.residues >> (r % a.period)) & 1, (b.residues >> (r % b.period)) & 1))
-    return DefSet(a.ground, low, t, p, res)
+    low_a, res_a = ds_window(a, t, p)
+    low_b, res_b = ds_window(b, t, p)
+    return DefSet(a.ground, f(low_a, low_b), t, p, f(res_a, res_b))
 
 
 @dataclass(frozen=True)
@@ -361,6 +378,10 @@ def atoms_of(basis: AlgebraBasis, ground: Ground | None = None) -> list[DefSet]:
         if cell.is_empty:
             return
         if i == len(gens):
+            if len(out) == MAX_POINTS:
+                raise SizeCapExceeded(
+                    f"the {len(gens)} generators split the ground into more than "
+                    f"{MAX_POINTS} atoms, the point cap of a model")
             out.append(cell)
             return
         descend(i + 1, ds_combine("inter", cell, gens[i]))

@@ -39,6 +39,7 @@ from .setalg import (
     atoms_of,
     ds_combine,
     ds_compare,
+    ds_window,
 )
 
 
@@ -71,6 +72,56 @@ class SpacePresentation:
 
 
 @dataclass(frozen=True)
+class Frame:
+    """The atoms of one model over their common window (threshold, period).
+
+    words[i] is atom i redescribed over that window and packed as one
+    int, `low | residues << threshold`.  Every union of atoms fits the
+    window, so a set fits it exactly when its canonical threshold is at
+    most `threshold` and its period divides `period`, and membership in
+    the algebra becomes a mask test on the packed words.
+    """
+
+    threshold: int
+    period: int
+    words: tuple[int, ...]
+
+    @staticmethod
+    def of(atoms: Sequence[DefSet]) -> "Frame":
+        t = max((a.threshold for a in atoms), default=0)
+        p = math.lcm(*(a.period for a in atoms))
+        if p > PERIOD_CAP:
+            raise PeriodOverflow(f"common atom period {p} exceeds cap {PERIOD_CAP}")
+        return Frame(t, p, tuple(_pack(a, t, p) for a in atoms))
+
+    def mask_of(self, a: DefSet) -> int:
+        """Atoms below a, as a mask; NotInAlgebra unless a is their union."""
+        if a.threshold <= self.threshold and self.period % a.period == 0:
+            word = _pack(a, self.threshold, self.period)
+            mask = cover = 0
+            for i, w in enumerate(self.words):
+                if not w & ~word:
+                    mask |= 1 << i
+                    cover |= w
+            if cover == word:
+                return mask
+        raise NotInAlgebra(f"{a.describe()} is not a union of model atoms")
+
+    def union_of(self, ground: Ground, mask: int) -> DefSet:
+        word = 0
+        for i, w in enumerate(self.words):
+            if (mask >> i) & 1:
+                word |= w
+        t = self.threshold
+        return DefSet(ground, word & ((1 << t) - 1), t, self.period, word >> t)
+
+
+def _pack(a: DefSet, t: int, p: int) -> int:
+    low, res = ds_window(a, t, p)
+    return low | res << t
+
+
+@dataclass(frozen=True)
 class StarModel:
     """Atoms, their space under the star topology, and the sample embedding.
 
@@ -83,6 +134,7 @@ class StarModel:
     space: FinSpace
     embedding: tuple[int, ...]
     labels: tuple[int | None, ...]
+    frame: Frame
 
     @property
     def standard_mask(self) -> int:
@@ -93,11 +145,7 @@ class StarModel:
 
     def union_of(self, mask: int) -> DefSet:
         """The ground set that a mask of atoms stands for."""
-        out = DefSet.empty(self.presentation.ground)
-        for i in range(len(self.atoms)):
-            if (mask >> i) & 1:
-                out = ds_combine("union", out, self.atoms[i])
-        return out
+        return self.frame.union_of(self.presentation.ground, mask)
 
     def atom_of_sample(self, s: int) -> int:
         return self.embedding[self.presentation.samples.index(s)]
@@ -119,33 +167,20 @@ def build_star(p: SpacePresentation, cap: int | None = None) -> StarModel:
     atoms = tuple(atoms_of(AlgebraBasis(gens, cap=cap), p.ground))
     index = {a: i for i, a in enumerate(atoms)}
     n = len(atoms)
-
-    def mask_of(ds: DefSet) -> int:
-        out = 0
-        for i, a in enumerate(atoms):
-            if ds_combine("diff", a, ds).is_empty:
-                out |= 1 << i
-        return out
-
-    space = generate_topology(n, [mask_of(g) for g in p.subbase])
+    frame = Frame.of(atoms)
+    space = generate_topology(n, [frame.mask_of(g) for g in p.subbase])
     embedding = tuple(index[s] for s in singles)
     labels: list[int | None] = [None] * n
     for pos, s in enumerate(p.samples):
         labels[embedding[pos]] = s
-    return StarModel(p, atoms, space, embedding, tuple(labels))
+    return StarModel(p, atoms, space, embedding, tuple(labels), frame)
 
 
 def star_of(m: StarModel, a: DefSet) -> int:
     """Atoms below a, as a mask; a must be a union of atoms (algebra member)."""
     if a.ground != m.presentation.ground:
         raise GroundMismatch(f"{a.ground!r} vs {m.presentation.ground!r}")
-    mask = 0
-    for i, atom in enumerate(m.atoms):
-        if ds_combine("diff", atom, a).is_empty:
-            mask |= 1 << i
-    if m.union_of(mask) != a:
-        raise NotInAlgebra(f"{a.describe()} is not a union of model atoms")
-    return mask
+    return m.frame.mask_of(a)
 
 
 def model_monad(m: StarModel, atom: int) -> int:
@@ -452,9 +487,10 @@ def star_map(f: DefMap, src: SpacePresentation, dst: SpacePresentation,
             pre_masks.append(star_of(sm, pre))
         except NotInAlgebra as exc:
             raise PreimageNotInAlgebra(j, str(exc)) from exc
+    gen_masks = [dm.frame.mask_of(gen) for gen in dst_gens]
     dst_signature = {}
-    for b, atom in enumerate(dm.atoms):
-        sig = tuple(ds_combine("diff", atom, gen).is_empty for gen in dst_gens)
+    for b in range(len(dm.atoms)):
+        sig = tuple(bool((mask >> b) & 1) for mask in gen_masks)
         dst_signature[sig] = b
     atom_map = []
     for i in range(len(sm.atoms)):

@@ -9,7 +9,7 @@ from topolab.cli import (
     parse_presentation,
     serialize_presentation,
 )
-from topolab.errors import ParseError, UnknownName
+from topolab.errors import ParseError, SizeCapExceeded, UnknownName
 from topolab.fintop import FinSpace, iso_check
 from topolab.star import build_star
 
@@ -158,6 +158,33 @@ def test_exit_two_on_atom_cap(monkeypatch, capsys):
 def test_exit_two_on_wide_dyad_closure(capsys):
     assert main(["dcomp", str(PRES / "discrete_n.top")]) == 2
     assert "outside [0, 16]" in capsys.readouterr().err
+
+
+def test_exit_two_when_generators_split_past_the_point_cap(tmp_path, capsys):
+    # set Gi is bit i of m mod 4096: twelve independent generators within
+    # every cap whose atoms are the 4096 residue classes
+    lines = ["ground omega"]
+    for i in range(12):
+        terms = "|".join(f"ap({r},4096)" for r in range(4096) if (r >> i) & 1)
+        lines.append(f"set G{i} = {terms}")
+    lines += ["subbase " + " ".join(f"G{i}" for i in range(12)), "samples 0"]
+    text = "\n".join(lines) + "\n"
+    path = tmp_path / "bits4096.top"
+    path.write_text(text)
+    with pytest.raises(SizeCapExceeded):
+        build_star(parse_presentation(text).presentation())
+    assert main(["star", str(path)]) == 2
+    assert "more than 16 atoms" in capsys.readouterr().err
+
+
+def test_exit_two_on_an_atom_label_past_the_term_cap(tmp_path, capsys):
+    # at period lcm(1024, 1023) the complement atom has over a million
+    # residue classes; the report refuses it instead of printing them
+    path = tmp_path / "period_cap.top"
+    path.write_text("ground omega\nset A = ap(5,1024) | ap(7,1023)\nsubbase A\nsamples 3\n")
+    for command in ("star", "check"):
+        assert main([command, str(path), "--format", "structured"]) == 2
+        assert "over the label cap of 4096" in capsys.readouterr().err
 
 
 def test_exit_two_on_bad_usage():

@@ -6,6 +6,7 @@ and minimal parameters are re-derived by brute force, so the dataclass
 normalization is checked against something that shares none of its code.
 """
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,12 +63,32 @@ def reference_canonical(low, t, p, res):
     return new_low, best_t, q, new_res
 
 
+def _divisors(p):
+    return [d for d in range(1, p + 1) if p % d == 0]
+
+
+def _raw_description(raw):
+    """(low, threshold, period, residues), often redundant on purpose: the
+    residues repeat a word of a divisor of the period, and the low bits
+    from a drawn cut upward copy the tail pattern, so canonicalization has
+    periods to shrink and thresholds to lower."""
+    t, p, low, word, pick, cut = raw
+    divisors = _divisors(p)
+    d = divisors[pick % len(divisors)]
+    res = sum(((word >> (r % d)) & 1) << r for r in range(p))
+    cut = min(cut, t)
+    tail = sum(((res >> (m % p)) & 1) << m for m in range(cut, t))
+    return (low & ((1 << cut) - 1)) | tail, t, p, res
+
+
 raw_descriptions = st.tuples(
-    st.integers(0, 2 ** 10 - 1),
-    st.just(10),
-    st.integers(1, 6),
-    st.integers(0, 2 ** 6 - 1),
-).map(lambda raw: (raw[0], raw[1], raw[2], raw[3] & ((1 << raw[2]) - 1)))
+    st.integers(0, 40),
+    st.one_of(st.sampled_from((12, 30, 60)), st.integers(1, 64)),
+    st.integers(0, 2 ** 40 - 1),
+    st.integers(0, 2 ** 64 - 1),
+    st.integers(0, 63),
+    st.integers(0, 40),
+).map(_raw_description)
 
 
 def defsets():
@@ -139,6 +160,78 @@ def test_describe_round_trip_examples():
 @settings(max_examples=200)
 def test_describe_round_trip(s):
     assert parse_set_expr(s.describe(), OMEGA) == s
+
+
+def reference_describe(s):
+    # the rendering spelled out bit by bit
+    if s.ground.is_finite:
+        return "{" + ",".join(str(m) for m in range(s.ground.size) if m in s) + "}"
+    parts = []
+    lows = [m for m in range(s.threshold) if (s.low >> m) & 1]
+    if lows:
+        parts.append("{" + ",".join(map(str, lows)) + "}")
+    t, p = s.threshold, s.period
+    if s.residues and s.residues == (1 << p) - 1:
+        parts.append(f"tail({t})")
+    else:
+        parts.extend(f"ap({t + ((r - t) % p)},{p})" for r in range(p) if (s.residues >> r) & 1)
+    return "|".join(parts) if parts else "{}"
+
+
+@given(defsets())
+@settings(max_examples=200)
+def test_describe_matches_reference(s):
+    assert s.describe() == reference_describe(s)
+
+
+def test_describe_finite_ground_matches_reference():
+    g = Ground(7)
+    for mask in range(1 << 7):
+        s = DefSet(g, mask, 7)
+        assert s.describe() == reference_describe(s)
+
+
+# ap(5, 1024) and ap(7, 1023) combine at period lcm(1024, 1023) = 1,047,552,
+# just under PERIOD_CAP; every operation must stay word-parallel there
+A_1024 = DefSet.arithmetic(OMEGA, 5, 1024)
+B_1023 = DefSet.arithmetic(OMEGA, 7, 1023)
+CAP_EDGE_PERIOD = 1024 * 1023
+# the one residue class mod the combined period shared by both progressions
+SHARED = next(r for r in range(7, CAP_EDGE_PERIOD, 1023) if r % 1024 == 5)
+
+
+def test_describe_at_the_period_cap_is_linear():
+    union = A_1024 | B_1023
+    assert union.period == CAP_EDGE_PERIOD and union.threshold == 0
+    start = time.perf_counter()
+    text = union.describe()
+    assert time.perf_counter() - start < 2.0
+    starts = sorted(set(range(5, CAP_EDGE_PERIOD, 1024)) | set(range(7, CAP_EDGE_PERIOD, 1023)))
+    assert len(starts) == 1023 + 1024 - 1
+    assert text == "|".join(f"ap({r},{CAP_EDGE_PERIOD})" for r in starts)
+
+
+def test_boolean_operations_at_the_period_cap():
+    start = time.perf_counter()
+    union = A_1024 | B_1023
+    rest = ~union
+    only_b = union - A_1024
+    only_a = union - B_1023
+    assert (union | rest) == DefSet.full(OMEGA) and (union | rest).period == 1
+    assert (union & rest).is_empty
+    assert (only_b | A_1024) == union and (only_a | B_1023) == union
+    assert (only_a & only_b).is_empty
+    assert (only_a | only_b | (A_1024 & B_1023)) == union
+    assert (A_1024 & B_1023) == DefSet.arithmetic(OMEGA, SHARED, CAP_EDGE_PERIOD)
+    elapsed = time.perf_counter() - start
+    assert [s.period for s in (union, rest, only_a, only_b)] == [CAP_EDGE_PERIOD] * 4
+    for n in (5, 7, 1029, 1030, SHARED, SHARED + CAP_EDGE_PERIOD):
+        assert (n in union) and (n not in rest)
+        assert (n in only_a) == (n % 1024 == 5 and n % 1023 != 7 % 1023)
+        assert (n in only_b) == (n % 1023 == 7 % 1023 and n % 1024 != 5)
+    for n in (0, 4, 6, 1028, SHARED + 1):
+        assert (n not in union) and (n in rest) and n not in only_a and n not in only_b
+    assert elapsed < 2.0
 
 
 # -- combination --------------------------------------------------------

@@ -131,6 +131,53 @@ def test_star_of_examples(chain3):
         star_of(chain3, DefSet.from_members(Ground(3), [1]))
 
 
+def _union_fold(m, mask):
+    out = DefSet.empty(m.presentation.ground)
+    for i, atom in enumerate(m.atoms):
+        if (mask >> i) & 1:
+            out = ds_combine("union", out, atom)
+    return out
+
+
+def _frame_agrees_with_definition(m):
+    # the frame's mask tests against the definitions: a union of atoms is
+    # the ds_combine fold, and star(a) is every atom whose difference with
+    # a is empty
+    for mask in range(1 << len(m.atoms)):
+        a = _union_fold(m, mask)
+        assert m.union_of(mask) == a
+        below = sum(1 << i for i, atom in enumerate(m.atoms)
+                    if ds_combine("diff", atom, a).is_empty)
+        assert star_of(m, a) == below == mask
+
+
+def test_frame_agrees_with_definition_on_corpus(corpus_models):
+    for name, p, m in corpus_models:
+        _frame_agrees_with_definition(m)
+
+
+def test_frame_agrees_with_definition_on_enumerated_models(enumerations):
+    for spaces in enumerations.values():
+        for s in spaces:
+            _frame_agrees_with_definition(build_star(presentation_of_space(s)))
+
+
+def test_star_of_refuses_sets_outside_the_algebra(chain3):
+    frame = chain3.frame
+    assert (frame.threshold, frame.period) == (4, 1)
+    too_deep = DefSet.from_members(OMEGA, [9])
+    assert too_deep.threshold > frame.threshold
+    wrong_period = DefSet.arithmetic(OMEGA, 0, 2)
+    assert frame.period % wrong_period.period
+    # fits the window but is only part of the atom {0}|tail(4)
+    splits_an_atom = DefSet.from_members(OMEGA, [0])
+    assert splits_an_atom.threshold <= frame.threshold
+    assert frame.period % splits_an_atom.period == 0
+    for a in (too_deep, wrong_period, splits_an_atom):
+        with pytest.raises(NotInAlgebra):
+            star_of(chain3, a)
+
+
 def test_star_identities_on_corpus(corpus_models):
     for name, p, m in corpus_models:
         assert star_identity_violations(m) == [], name
