@@ -69,6 +69,7 @@ from .star import (
     fragment_continuous,
     model_monad,
     robinson_coverage,
+    sample_space,
     sandwich_violations,
     star_identity_violations,
     star_map,
@@ -82,8 +83,6 @@ from .reflect import (
     adherence,
     beta_fragment,
     beta2_fragment,
-    continuous_point_maps,
-    factorizations_through,
     retraction,
     t0_reflection,
     t2_reflection,

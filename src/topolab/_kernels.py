@@ -1,8 +1,8 @@
 """Hot loops behind topology enumeration and the weak-reflection sweep.
 
 Both kernels are vectorized numpy scans over every candidate at once.
-`reflection_counts_bruteforce` is the pure-python reference the tests pin
-`reflection_counts` against.
+The tests pin `reflection_counts` against a pure-python search over
+every factor map (`reflection_counts_bruteforce` in tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -47,9 +47,8 @@ def topology_codes(n: int) -> np.ndarray:
 # f.  It exists iff every fibre of f is saturated (f is constant on
 # classes) and every pullback of F is open in the quotient; the pullback
 # of a target open under F is the class image of its pullback under f.
-# A factoring is therefore unique.  The exhaustive search over all F is
-# kept, in pure python, as `reflection_counts_bruteforce` so the reduction
-# itself stays under test.
+# A factoring is therefore unique.  The exhaustive search over all F
+# stays in the tests, so the reduction itself stays under test.
 
 
 def _preimage_table(n_s: int, n_t: int, masks: np.ndarray) -> np.ndarray:
@@ -85,37 +84,3 @@ def reflection_counts(n_s: int, src_bitmaps: np.ndarray,
         good &= q_open[:, row]
     ncont = cont.sum(axis=1)
     return int(ncont.sum()), ncont, good.sum(axis=1)
-
-
-def reflection_counts_bruteforce(n_s: int, src_bitmap, n_q: int, q_bitmap,
-                                 assign, n_t: int, tgt_opens) -> tuple[int, int, int]:
-    """Reference implementation: try every factor map outright.
-
-    Returns (continuous, factored, unique): maps that are continuous, that
-    have at least one continuous factorization, and that have exactly one.
-    """
-    import itertools
-
-    def continuous(npts, fmap, bitmap):
-        for o in tgt_opens:
-            pre = 0
-            for x in range(npts):
-                if (int(o) >> fmap[x]) & 1:
-                    pre |= 1 << x
-            if not bitmap[pre]:
-                return False
-        return True
-
-    ncont = nfact = nuniq = 0
-    for f in itertools.product(range(n_t), repeat=n_s):
-        if not continuous(n_s, f, src_bitmap):
-            continue
-        ncont += 1
-        hits = 0
-        for big in itertools.product(range(n_t), repeat=n_q):
-            if all(big[assign[x]] == f[x] for x in range(n_s)):
-                if continuous(n_q, big, q_bitmap):
-                    hits += 1
-        nfact += 1 if hits >= 1 else 0
-        nuniq += 1 if hits == 1 else 0
-    return ncont, nfact, nuniq

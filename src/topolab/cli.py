@@ -28,7 +28,6 @@ from .errors import (
     UsageError,
 )
 from .fintop import (
-    FinSpace,
     check_enum_size,
     enumerate_topologies,
     hasse_dot,
@@ -46,6 +45,7 @@ from .star import (
     density_violations,
     model_monad,
     robinson_coverage,
+    sample_space,
     sandwich_violations,
     star_identity_violations,
 )
@@ -349,15 +349,6 @@ def _summarize(report: Report, m: StarModel) -> None:
     )
 
 
-def _sample_space(m: StarModel) -> FinSpace:
-    samples = m.presentation.samples
-    opens = set()
-    for o in m.space.opens:
-        gset = m.union_of(o)
-        opens.add(sum(1 << j for j, s in enumerate(samples) if s in gset))
-    return FinSpace(len(samples), tuple(opens))
-
-
 def _report_flags(report: Report, prefix: str, rep: fintop.PropertyReport) -> None:
     flags = rep.flags()
     text = " ".join(f"{name}={'y' if flags[name] else 'n'}" for name in flags)
@@ -405,7 +396,7 @@ def cmd_check(path: str, report: Report) -> None:
                                for g, v in viol[:2]))
     else:
         report.add("monad-sandwich", INFO, "skipped: coverage fails")
-    _report_flags(report, "sample-space-report", property_report(_sample_space(m)))
+    _report_flags(report, "sample-space-report", property_report(sample_space(m)))
     _report_flags(report, "model-report", rep)
     _summarize(report, m)
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import FamilyTooLarge, GroundMismatch
-from .fintop import FinSpace, closure, generate_topology, iso_check, subspace
+from .fintop import FinSpace, generate_topology, iso_check, subspace
 from .reflect import beta2_fragment
-from .setalg import DefSet, ds_combine
+# unused here, but topobench's tracer self-test checks that this binding is patched
+from .setalg import DefSet, ds_combine  # noqa: F401
 from .star import SpacePresentation, StarModel, build_star, star_of
 
 DYAD = FinSpace(2, (0, 1, 3))
@@ -69,7 +70,10 @@ def _cylinder_space(vectors: tuple[int, ...], k: int) -> FinSpace:
     by the coordinate cylinders {v : bit i of v is 0}."""
     subbase = []
     for i in range(k):
-        subbase.append(sum(1 << j for j, v in enumerate(vectors) if not (v >> i) & 1))
+        # one binary digit per vector, the last vector first: linear in the
+        # vector count, where summing 1 << j is quadratic
+        digits = "".join("0" if (v >> i) & 1 else "1" for v in reversed(vectors))
+        subbase.append(int(digits or "0", 2))
     return generate_topology(len(vectors), subbase)
 
 

@@ -1,9 +1,11 @@
 """Finite topological spaces over points 0..n-1.
 
 A subset of points is an int bitmask; a space is the sorted tuple of its
-open masks.  Everything downstream (star models, reflections, dyad
-powers) manipulates these spaces, so the checkers here are written
-directly from the definitions and every false flag carries a witness.
+open masks together with the monad of each point.  Everything downstream
+(star models, reflections, dyad powers) manipulates these spaces.  The
+checkers reduce each quantifier over opens to a test on monads, and every
+false flag carries the witness the definition would find first; the
+definitional forms are kept in the tests as oracles.
 
 The enumerator of all topologies on up to 4 points doubles as the
 brute-force oracle for the separation equivalences; its hot scan is the
@@ -30,7 +32,14 @@ PROPERTY_FLAGS = (
 
 @dataclass(frozen=True)
 class FinSpace:
-    """Finite space: point count and the sorted family of open bitmasks."""
+    """Finite space: point count and the sorted family of open bitmasks.
+
+    A finite topology is determined by its monads, the minimal open
+    neighbourhoods of the points: the opens are exactly the unions of
+    monads (Alexandroff 1937).  Construction computes the monads from the
+    given family and keeps them, so every query below reads them instead
+    of scanning the opens.
+    """
 
     n: int
     opens: tuple[int, ...]
@@ -43,16 +52,26 @@ class FinSpace:
         if len(fam) > MAX_FAMILY:
             raise SizeCapExceeded(f"{len(fam)} opens exceed the family cap {MAX_FAMILY}")
         full = self.full
-        if any(o < 0 or o > full for o in fam):
+        if fam and (fam[0] < 0 or fam[-1] > full):
             raise ValueError("open mask outside the point range")
-        if 0 not in fam or full not in fam:
+        if not fam or fam[0] != 0 or fam[-1] != full:
             raise ValueError("opens must contain the empty and the full set")
+        monads = _monads_of(self.n, fam)
         members = set(fam)
-        for i, a in enumerate(fam):
-            for b in fam[i + 1:]:
-                if (a | b) not in members or (a & b) not in members:
-                    raise ValueError(f"opens not closed under union/intersection at {a}, {b}")
+        # With every monad open and o | monad(x) open for each open o, every
+        # union of monads is open; each open is the union of the monads of
+        # its points; and the unions of monads are closed under intersection,
+        # because y in monad(x) puts monad(y) inside monad(x).  So the family
+        # is a topology exactly when these O(|opens| * n) tests pass.
+        for x, mx in enumerate(monads):
+            if mx not in members:
+                raise ValueError(f"opens not closed under union/intersection: the "
+                                 f"monad {mx} of point {x} is not open")
+            for o in fam:
+                if (o | mx) not in members:
+                    raise ValueError(f"opens not closed under union/intersection at {o}, {mx}")
         object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_monads", monads)
 
     @property
     def full(self) -> int:
@@ -66,6 +85,30 @@ class FinSpace:
 
     def __repr__(self) -> str:
         return f"FinSpace(n={self.n}, opens={len(self.opens)})"
+
+
+def _monads_of(n: int, sets: Sequence[int]) -> tuple[int, ...]:
+    """For each point, the intersection of the given sets that contain it
+    (the full set when none does)."""
+    monads = [(1 << n) - 1] * n
+    for s in sets:
+        rest = s
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            monads[x] &= s
+            rest ^= low
+    return tuple(monads)
+
+
+def _unions(masks: Sequence[int]) -> set[int]:
+    """Every union of the given masks, the empty union included."""
+    out = {0}
+    for m in set(masks):
+        out |= {o | m for o in out}
+        if len(out) > MAX_FAMILY:
+            raise SizeCapExceeded(f"open family exceeds {MAX_FAMILY} sets")
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,9 +125,8 @@ class SpecOrder:
 def generate_topology(n: int, subbase: Sequence[int]) -> FinSpace:
     """Smallest topology containing the subbase.
 
-    Closing under pairwise intersection and then pairwise union suffices:
-    distributivity turns an intersection of two unions into a union of
-    intersections already present after the first phase.
+    The monad of x in that topology is the intersection of the subbase
+    sets containing x, and the opens are the unions of monads: O(n * |opens|).
     """
     if not 0 <= n <= MAX_POINTS:
         raise SizeCapExceeded(f"point count {n} outside [0, {MAX_POINTS}]")
@@ -92,43 +134,32 @@ def generate_topology(n: int, subbase: Sequence[int]) -> FinSpace:
     for s in subbase:
         if s < 0 or s > full:
             raise ValueError(f"subbase mask {s} does not fit width {n}")
-    fam = {0, full} | set(subbase)
-    for close in (lambda a, b: a & b, lambda a, b: a | b):
-        grew = True
-        while grew:
-            grew = False
-            for a in list(fam):
-                for b in list(fam):
-                    c = close(a, b)
-                    if c not in fam:
-                        fam.add(c)
-                        grew = True
-            if len(fam) > MAX_FAMILY:
-                raise SizeCapExceeded(f"open family exceeds {MAX_FAMILY} sets")
-    return FinSpace(n, tuple(fam))
+    return FinSpace(n, tuple(_unions(_monads_of(n, subbase))))
 
 
 def interior(s: FinSpace, a: int) -> int:
+    """Points whose monad lies inside a."""
     out = 0
-    for o in s.opens:
-        if o & ~a == 0:
-            out |= o
+    for x, m in enumerate(s._monads):
+        if not m & ~a:
+            out |= 1 << x
     return out
 
 
 def closure(s: FinSpace, a: int) -> int:
-    return s.full ^ interior(s, s.full ^ a)
+    """Points whose monad meets a."""
+    out = 0
+    for x, m in enumerate(s._monads):
+        if m & a:
+            out |= 1 << x
+    return out
 
 
 def monad(s: FinSpace, x: int) -> int:
     """Intersection of all opens containing x: the minimal open neighbourhood."""
     if not 0 <= x < s.n:
         raise ValueError(f"point {x} outside the space")
-    out = s.full
-    for o in s.opens:
-        if (o >> x) & 1:
-            out &= o
-    return out
+    return s._monads[x]
 
 
 def specialization(s: FinSpace) -> SpecOrder:
@@ -163,8 +194,11 @@ class PropertyReport:
 
 
 def property_report(s: FinSpace) -> PropertyReport:
-    """Evaluate every checker from its definition; witnesses are the first
-    counterexample in ascending scan order, so reports are deterministic."""
+    """Evaluate every checker; witnesses are the first counterexample in
+    ascending scan order, so reports are deterministic.  Regularity,
+    complete regularity and normality quantify over opens; each is reduced
+    to a test on the least open (or clopen) around a point or set, which
+    finds the same first counterexample as the definition."""
     n, full = s.n, s.full
     monads = [monad(s, x) for x in range(n)]
     point_cl = [closure(s, 1 << x) for x in range(n)]
@@ -196,38 +230,56 @@ def property_report(s: FinSpace) -> PropertyReport:
                     return record("t2", (x, y))
         return True
 
-    open_cl = {o: closure(s, o) for o in s.opens}
-
     def check_regular() -> bool:
+        # an open u around x with cl(u) inside v exists iff cl(monad x) is
+        # inside v, and monad x lies inside every open around x
         for x in range(n):
+            cl_monad = closure(s, monads[x])
+            if not cl_monad & ~monads[x]:
+                continue
             for v in s.opens:
-                if not (v >> x) & 1:
-                    continue
-                if not any((u >> x) & 1 and open_cl[u] & ~v == 0 for u in s.opens):
+                if (v >> x) & 1 and cl_monad & ~v:
                     return record("regular", (x, v))
         return True
 
-    clopens = [o for o in s.opens if s.is_closed(o)]
+    def clopen_hull(x: int) -> int:
+        # smallest clopen around x: close {x} under monads and point closures
+        hull, grown = 0, 1 << x
+        while grown != hull:
+            hull = grown
+            for y in range(n):
+                if (hull >> y) & 1:
+                    grown |= monads[y] | point_cl[y]
+        return hull
 
     def check_completely_regular() -> bool:
-        # function separation collapses to clopen separation on finite spaces
+        # function separation collapses to clopen separation on finite spaces:
+        # x outside f is separated from f iff the smallest clopen around x
+        # misses f.  Those clopens partition the points, so a closed f fails
+        # exactly when it is not open.
+        hulls = [clopen_hull(x) for x in range(n)]
         for f in closed:
+            if s.is_open(f):
+                continue
             for x in range(n):
-                if (f >> x) & 1:
-                    continue
-                if not any((u >> x) & 1 and u & f == 0 for u in clopens):
+                if not (f >> x) & 1 and hulls[x] & f:
                     return record("completely_regular", (x, f))
         return True
 
-    int_of_closed = {f: interior(s, f) for f in closed}
-
     def check_normal() -> bool:
+        # disjoint closed f, h are separated iff cl(smallest open around f)
+        # misses h; some closed h fails iff some point y of that closure has
+        # cl{y} disjoint from f (then h = cl{y} fails)
         for f in closed:
+            around = 0
+            for x in range(n):
+                if (f >> x) & 1:
+                    around |= monads[x]
+            reach = closure(s, around)
+            if not any((reach >> y) & 1 and not point_cl[y] & f for y in range(n)):
+                continue
             for h in closed:
-                if f & h:
-                    continue
-                if not any(f & ~g == 0 and h & ~int_of_closed[full ^ g] == 0
-                           for g in s.opens):
+                if not f & h and reach & h:
                     return record("normal", (f, h))
         return True
 
@@ -239,8 +291,8 @@ def property_report(s: FinSpace) -> PropertyReport:
 
     def check_locally_compact() -> bool:
         # reduced form: the minimal open neighbourhood is itself a compact
-        # neighbourhood inside every open V around x (reduction checked
-        # against the literal subset search in locally_compact_literal)
+        # neighbourhood inside every open V around x (the tests check the
+        # reduction against a literal subset search)
         for x in range(n):
             for v in s.opens:
                 if (v >> x) & 1 and monads[x] & ~v:
@@ -280,53 +332,6 @@ def subspace(s: FinSpace, mask: int) -> tuple[FinSpace, list[int]]:
     for o in s.opens:
         opens.add(sum(1 << index[x] for x in pts if (o >> x) & 1))
     return FinSpace(len(pts), tuple(opens)), pts
-
-
-def _covers_have_subcover(sub: FinSpace) -> bool:
-    # literal compactness: every open cover contains a finite subcover; with
-    # finitely many opens each cover is its own subcover, but evaluate anyway
-    import itertools
-    full = sub.full
-    opens = sub.opens
-    for r in range(len(opens) + 1):
-        for combo in itertools.combinations(opens, r):
-            union = 0
-            for o in combo:
-                union |= o
-            if union == full and not any(
-                    _union(c) == full for k in range(len(combo) + 1)
-                    for c in itertools.combinations(combo, k)):
-                return False
-    return True
-
-
-def _union(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
-
-
-def locally_compact_literal(s: FinSpace) -> bool:
-    """Neighbourhood form evaluated outright: for every x and open V around x
-    there is W ⊆ V, not necessarily open, with x interior to W and the
-    subspace on W compact under the literal cover search.  Exponential in
-    the subspace open count; only useful on small spaces, where it checks
-    the reduced form used by property_report."""
-    for x in range(s.n):
-        for v in s.opens:
-            if not (v >> x) & 1:
-                continue
-            found = False
-            for w in range(1 << s.n):
-                if w & ~v or not (interior(s, w) >> x) & 1:
-                    continue
-                if _covers_have_subcover(subspace(s, w)[0]):
-                    found = True
-                    break
-            if not found:
-                return False
-    return True
 
 
 def iso_check(a: FinSpace, b: FinSpace) -> tuple[int, ...] | None:

@@ -14,13 +14,12 @@ classes) is part of the result contract.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import _kernels, fintop
+from . import _kernels
 from .errors import AmbiguousRetraction, NoRetraction
 from .fintop import FinSpace, enumerate_topologies, monad, property_report, specialization
 from .star import (
@@ -29,6 +28,7 @@ from .star import (
     UltrafilterTrace,
     build_star,
     model_monad,
+    sample_space,
     ultrafilter_trace,
 )
 
@@ -214,13 +214,7 @@ def retraction(m: StarModel) -> RetractionMap:
         assign.append(groups[0])
 
     # continuity into the T0 quotient of the sample subspace
-    k = len(samples)
-    sample_opens = set()
-    for o in m.space.opens:
-        gset = m.union_of(o)
-        sample_opens.add(sum(1 << j for j, s in enumerate(samples) if s in gset))
-    sample_space = FinSpace(k, tuple(sample_opens))
-    q = t0_reflection(sample_space)
+    q = t0_reflection(sample_space(m))
     cls_of_sample = {s: q.assign[j] for j, s in enumerate(samples)}
     continuous = True
     for o in q.target.opens:
@@ -232,32 +226,7 @@ def retraction(m: StarModel) -> RetractionMap:
     return RetractionMap(m, tuple(assign), continuous)
 
 
-# -- factorization search and the exhaustive sweep ---------------------
-
-
-def continuous_point_maps(a: FinSpace, b: FinSpace) -> list[tuple[int, ...]]:
-    """All continuous maps a → b, by exhaustive search."""
-    out = []
-    for f in itertools.product(range(b.n), repeat=a.n):
-        if all(a.is_open(sum(1 << x for x in range(a.n) if (o >> f[x]) & 1))
-               for o in b.opens):
-            out.append(f)
-    return out
-
-
-def factorizations_through(q: QuotientMap, f: Sequence[int],
-                           target: FinSpace) -> list[tuple[int, ...]]:
-    """All continuous F: q.target → target with F ∘ q.assign = f, found by
-    trying every point map outright."""
-    out = []
-    for big in itertools.product(range(target.n), repeat=q.target.n):
-        if any(big[q.assign[x]] != f[x] for x in range(q.source.n)):
-            continue
-        if all(q.target.is_open(sum(1 << c for c in range(q.target.n)
-                                    if (o >> big[c]) & 1))
-               for o in target.opens):
-            out.append(big)
-    return out
+# -- the exhaustive sweep ---------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     AtomCapExceeded,

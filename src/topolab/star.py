@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import fintop
 from .errors import (
@@ -38,7 +38,6 @@ from .setalg import (
     Ground,
     atoms_of,
     ds_combine,
-    ds_compare,
     ds_window,
 )
 
@@ -194,36 +193,58 @@ def algebra_sets(m: StarModel) -> list[DefSet]:
 
 def star_identity_violations(m: StarModel,
                              sets: Sequence[DefSet] | None = None) -> list[str]:
-    """Check the star identities over all pairs from `sets`.
+    """Certify the star identities for every pair from `sets`.
 
-    Fixed points: star of the empty set is empty, star of the ground is
-    every atom.  Commutation: star of a union / intersection / difference
-    / complement is the mask union / intersection / difference /
-    complement.  With sets=None the whole algebra is used up to 6 atoms,
-    the fragment opens beyond that.
+    The identities: star of the empty set is empty, star of the ground is
+    every atom, and star of a union / intersection / difference /
+    complement is the mask union / intersection / difference / complement,
+    where star(a) is the set of atoms inside a.  With sets=None the whole
+    algebra is used up to 6 atoms, the fragment opens beyond that.
+
+    The check is linear in len(sets).  It tests that
+      (1) the atoms are nonempty, pairwise disjoint and cover the ground,
+          so each point p lies in exactly one atom, atom(p);
+      (2) for each listed a, star_of(a) is {i : atom_i minus a is empty};
+      (3) each listed a is the union of the atoms in star_of(a).
+    Proof that the identities then hold for every pair a, b: by (3) and
+    (1), p is in a iff atom(p) is in star(a), since p lies in no other
+    atom.  So for each Boolean operation o, p is in a o b iff atom(p) is
+    in star(a) o star(b); hence a o b is the union of the atoms in
+    star(a) o star(b), and by (1) those are exactly the atoms inside it.
+    The fixed points are (2) and (3) at the empty set and the ground.
     """
+    ground = m.presentation.ground
     if sets is None:
         if len(m.atoms) <= 6:
             sets = algebra_sets(m)
         else:
             sets = [m.union_of(o) for o in m.space.opens]
-    full = (1 << len(m.atoms)) - 1
     out = []
-    if star_of(m, DefSet.empty(m.presentation.ground)) != 0:
-        out.append("star of the empty set is nonempty")
-    if star_of(m, DefSet.full(m.presentation.ground)) != full:
-        out.append("star of the ground misses an atom")
-    masks = [star_of(m, a) for a in sets]
-    for i, a in enumerate(sets):
-        if star_of(m, ds_combine("complement", a)) != full ^ masks[i]:
-            out.append(f"complement breaks at {a.describe()}")
-        for j, b in enumerate(sets):
-            if star_of(m, ds_combine("union", a, b)) != masks[i] | masks[j]:
-                out.append(f"union breaks at {a.describe()}, {b.describe()}")
-            if star_of(m, ds_combine("inter", a, b)) != masks[i] & masks[j]:
-                out.append(f"intersection breaks at {a.describe()}, {b.describe()}")
-            if star_of(m, ds_combine("diff", a, b)) != masks[i] & ~masks[j] & full:
-                out.append(f"difference breaks at {a.describe()}, {b.describe()}")
+    cover = DefSet.empty(ground)
+    for i, atom in enumerate(m.atoms):
+        if atom.is_empty:
+            out.append(f"atom {i} is empty")
+        for j in range(i):
+            if not ds_combine("inter", m.atoms[j], atom).is_empty:
+                out.append(f"atoms {j} and {i} overlap")
+        cover = ds_combine("union", cover, atom)
+    if cover != DefSet.full(ground):
+        out.append("the atoms miss part of the ground")
+    for a in (DefSet.empty(ground), DefSet.full(ground), *sets):
+        below = 0
+        union = DefSet.empty(ground)
+        for i, atom in enumerate(m.atoms):
+            if ds_combine("diff", atom, a).is_empty:
+                below |= 1 << i
+                union = ds_combine("union", union, atom)
+        try:
+            star = star_of(m, a)
+        except NotInAlgebra:
+            star = None
+        if star != below:
+            out.append(f"star of {a.describe()} is not the set of atoms inside it")
+        if union != a:
+            out.append(f"{a.describe()} is not the union of the atoms inside it")
     return out
 
 
@@ -272,21 +293,34 @@ def density_violations(m: StarModel) -> list[int]:
     return [o for o in m.space.opens if o and not o & std]
 
 
+def sample_space(m: StarModel) -> FinSpace:
+    """The samples, numbered by position, with their fragment topology.
+
+    Its opens are the traces on the samples of the fragment opens.  Each is
+    the image of a union of model monads, so the images of the monads
+    generate them."""
+    samples = m.presentation.samples
+    in_atom = [sum(1 << j for j, s in enumerate(samples) if s in a) for a in m.atoms]
+    images = []
+    for i in range(len(m.atoms)):
+        mask, image = model_monad(m, i), 0
+        for k, bits in enumerate(in_atom):
+            if (mask >> k) & 1:
+                image |= bits
+        images.append(image)
+    return generate_topology(len(samples), images)
+
+
 def embedding_is_homeomorphic(m: StarModel) -> bool:
     """The samples with their fragment topology match the standard atoms with
     the subspace topology, under the embedding."""
-    k = len(m.presentation.samples)
     sub, pts = fintop.subspace(m.space, m.standard_mask)
     pos_of_atom = {atom: j for j, atom in enumerate(pts)}
-    sample_opens = set()
-    for o in m.space.opens:
-        gset = m.union_of(o)
-        sample_opens.add(sum(1 << j for j, s in enumerate(m.presentation.samples) if s in gset))
     transferred = set()
     for o in sub.opens:
-        transferred.add(sum(1 << j for j in range(k)
-                            if (o >> pos_of_atom[m.embedding[j]]) & 1))
-    return sample_opens == transferred
+        transferred.add(sum(1 << j for j, atom in enumerate(m.embedding)
+                            if (o >> pos_of_atom[atom]) & 1))
+    return set(sample_space(m).opens) == transferred
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,227 @@
+"""Definitional checkers that pin the fast paths of topolab.
+
+Each function transcribes a definition outright: pairwise closure of an
+open family, the quantifiers of regularity, complete regularity and
+normality over every open and closed set, every Boolean identity of the
+star map over every pair of sets, local compactness by a search over
+subsets and covers, and continuity and factoring by a search over every
+point map.  They are quadratic or worse in the number of opens (the
+searches are exponential) and run only in the tests, where they are
+compared with the monad-based code in `topolab.fintop`, the linear
+certificate in `topolab.star` and the sweep kernel in `topolab._kernels`.
+"""
+import itertools
+from typing import Sequence
+
+from topolab.fintop import FinSpace, interior, subspace
+from topolab.reflect import QuotientMap
+from topolab.setalg import DefSet, ds_combine
+from topolab.star import star_of
+
+
+def is_topology(n, family):
+    """Contains the empty and the full set and is closed under pairwise
+    union and intersection (enough for a finite family)."""
+    full = (1 << n) - 1
+    fam = set(family)
+    if any(o < 0 or o > full for o in fam) or 0 not in fam or full not in fam:
+        return False
+    return all((a | b) in fam and (a & b) in fam for a in fam for b in fam)
+
+
+def generate_by_closure(n, subbase):
+    """Smallest topology containing the subbase, by closing the family
+    under pairwise intersection and then pairwise union until it is stable."""
+    full = (1 << n) - 1
+    fam = {0, full} | set(subbase)
+    for close in (lambda a, b: a & b, lambda a, b: a | b):
+        grew = True
+        while grew:
+            grew = False
+            for a in list(fam):
+                for b in list(fam):
+                    if close(a, b) not in fam:
+                        fam.add(close(a, b))
+                        grew = True
+    return tuple(sorted(fam))
+
+
+def interior_by_opens(opens, a):
+    out = 0
+    for o in opens:
+        if o & ~a == 0:
+            out |= o
+    return out
+
+
+def closure_by_opens(n, opens, a):
+    full = (1 << n) - 1
+    return full ^ interior_by_opens(opens, full ^ a)
+
+
+def regular_witness(s):
+    """First (x, V): V open around x, and no open U around x has cl(U) in V."""
+    cl = {u: closure_by_opens(s.n, s.opens, u) for u in s.opens}
+    for x in range(s.n):
+        for v in s.opens:
+            if not (v >> x) & 1:
+                continue
+            if not any((u >> x) & 1 and cl[u] & ~v == 0 for u in s.opens):
+                return (x, v)
+    return None
+
+
+def completely_regular_witness(s):
+    """First (x, F): F closed, x outside F, and no clopen around x misses F."""
+    full = s.full
+    clopens = [o for o in s.opens if (full ^ o) in s.opens]
+    for f in (full ^ o for o in s.opens):
+        for x in range(s.n):
+            if (f >> x) & 1:
+                continue
+            if not any((u >> x) & 1 and u & f == 0 for u in clopens):
+                return (x, f)
+    return None
+
+
+def normal_witness(s):
+    """First (F, H): disjoint closed sets with no open G around F whose
+    closure misses H."""
+    full = s.full
+    closed = [full ^ o for o in s.opens]
+    cl = {g: closure_by_opens(s.n, s.opens, g) for g in s.opens}
+    for f in closed:
+        for h in closed:
+            if f & h:
+                continue
+            if not any(f & ~g == 0 and h & cl[g] == 0 for g in s.opens):
+                return (f, h)
+    return None
+
+
+def star_identity_pairs(m, sets):
+    """Every star identity over every pair of sets: star of the empty set
+    and of the ground, and star of each union, intersection, difference and
+    complement against the mask operation."""
+    ground = m.presentation.ground
+    full = (1 << len(m.atoms)) - 1
+    out = []
+    if star_of(m, DefSet.empty(ground)) != 0:
+        out.append("star of the empty set is nonempty")
+    if star_of(m, DefSet.full(ground)) != full:
+        out.append("star of the ground misses an atom")
+    masks = [star_of(m, a) for a in sets]
+    for i, a in enumerate(sets):
+        if star_of(m, ds_combine("complement", a)) != full ^ masks[i]:
+            out.append(f"complement breaks at {a.describe()}")
+        for j, b in enumerate(sets):
+            if star_of(m, ds_combine("union", a, b)) != masks[i] | masks[j]:
+                out.append(f"union breaks at {a.describe()}, {b.describe()}")
+            if star_of(m, ds_combine("inter", a, b)) != masks[i] & masks[j]:
+                out.append(f"intersection breaks at {a.describe()}, {b.describe()}")
+            if star_of(m, ds_combine("diff", a, b)) != masks[i] & ~masks[j] & full:
+                out.append(f"difference breaks at {a.describe()}, {b.describe()}")
+    return out
+
+
+def _covers_have_subcover(sub: FinSpace) -> bool:
+    # literal compactness: every open cover contains a finite subcover; with
+    # finitely many opens each cover is its own subcover, but evaluate anyway
+    full = sub.full
+    opens = sub.opens
+    for r in range(len(opens) + 1):
+        for combo in itertools.combinations(opens, r):
+            union = 0
+            for o in combo:
+                union |= o
+            if union == full and not any(
+                    _union(c) == full for k in range(len(combo) + 1)
+                    for c in itertools.combinations(combo, k)):
+                return False
+    return True
+
+
+def _union(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def locally_compact_literal(s: FinSpace) -> bool:
+    """Neighbourhood form evaluated outright: for every x and open V around x
+    there is W ⊆ V, not necessarily open, with x interior to W and the
+    subspace on W compact under the literal cover search.  Exponential in
+    the subspace open count; only useful on small spaces, where it checks
+    the reduced form used by property_report."""
+    for x in range(s.n):
+        for v in s.opens:
+            if not (v >> x) & 1:
+                continue
+            found = False
+            for w in range(1 << s.n):
+                if w & ~v or not (interior(s, w) >> x) & 1:
+                    continue
+                if _covers_have_subcover(subspace(s, w)[0]):
+                    found = True
+                    break
+            if not found:
+                return False
+    return True
+
+
+def continuous_point_maps(a: FinSpace, b: FinSpace) -> list[tuple[int, ...]]:
+    """All continuous maps a → b, by exhaustive search."""
+    out = []
+    for f in itertools.product(range(b.n), repeat=a.n):
+        if all(a.is_open(sum(1 << x for x in range(a.n) if (o >> f[x]) & 1))
+               for o in b.opens):
+            out.append(f)
+    return out
+
+
+def factorizations_through(q: QuotientMap, f: Sequence[int],
+                           target: FinSpace) -> list[tuple[int, ...]]:
+    """All continuous F: q.target → target with F ∘ q.assign = f, found by
+    trying every point map outright."""
+    out = []
+    for big in itertools.product(range(target.n), repeat=q.target.n):
+        if any(big[q.assign[x]] != f[x] for x in range(q.source.n)):
+            continue
+        if all(q.target.is_open(sum(1 << c for c in range(q.target.n)
+                                    if (o >> big[c]) & 1))
+               for o in target.opens):
+            out.append(big)
+    return out
+
+
+def reflection_counts_bruteforce(n_s: int, src_bitmap, n_q: int, q_bitmap,
+                                 assign, n_t: int, tgt_opens) -> tuple[int, int, int]:
+    """Reference implementation: try every factor map outright.
+
+    Returns (continuous, factored, unique): maps that are continuous, that
+    have at least one continuous factorization, and that have exactly one.
+    """
+    def continuous(npts, fmap, bitmap):
+        for o in tgt_opens:
+            pre = 0
+            for x in range(npts):
+                if (int(o) >> fmap[x]) & 1:
+                    pre |= 1 << x
+            if not bitmap[pre]:
+                return False
+        return True
+
+    ncont = nfact = nuniq = 0
+    for f in itertools.product(range(n_t), repeat=n_s):
+        if not continuous(n_s, f, src_bitmap):
+            continue
+        ncont += 1
+        hits = 0
+        for big in itertools.product(range(n_t), repeat=n_q):
+            if all(big[assign[x]] == f[x] for x in range(n_s)):
+                if continuous(n_q, big, q_bitmap):
+                    hits += 1
+        nfact += 1 if hits >= 1 else 0
+        nuniq += 1 if hits == 1 else 0
+    return ncont, nfact, nuniq

@@ -6,6 +6,7 @@ All comparisons are exact; nothing here is tolerance-based.
 """
 import pytest
 
+import oracles
 from topolab.corpus import (
     chain_fragment,
     chain_space,
@@ -56,7 +57,9 @@ def test_c01_star_commutes_with_boolean_ops(capsys, corpus_models, enum_models):
     failures = []
     models = [(n, m) for n, _, m in corpus_models] + [(n, m) for n, m, _ in enum_models]
     for name, m in models:
-        bad = star_identity_violations(m, algebra_sets(m))
+        sets = algebra_sets(m)
+        # the all-pairs definition, and the linear certificate `check` runs
+        bad = oracles.star_identity_pairs(m, sets) + star_identity_violations(m, sets)
         if bad:
             failures.append(f"{name}: {bad[0]}")
     _verdict(capsys, 1, "star map preserves union/meet/complement", failures)

@@ -1,9 +1,13 @@
-"""Presentation-file grammar, report rendering, and exit codes."""
+"""Presentation-file grammar, report rendering, exit codes, wall-clock guards
+and the benchmark tracer's view of the CLI."""
+import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+import topolab.cli
 from topolab.cli import (
     main,
     parse_presentation,
@@ -13,7 +17,8 @@ from topolab.errors import ParseError, SizeCapExceeded, UnknownName
 from topolab.fintop import FinSpace, iso_check
 from topolab.star import build_star
 
-PRES = Path(__file__).resolve().parent.parent / "presentations"
+ROOT = Path(__file__).resolve().parent.parent
+PRES = ROOT / "presentations"
 
 SIERP_TEXT = """\
 ground finite 2
@@ -254,3 +259,95 @@ def test_dot_side_flag(tmp_path, capsys):
     out = tmp_path / "side.dot"
     assert main(["check", str(PRES / "upper_n.top"), "--dot", str(out)]) == 0
     assert out.exists() and "dot-written" in capsys.readouterr().out
+
+
+# -- wall-clock guards at the family cap -----------------------------------
+
+def _singletons_file(size, points, extra=None, samples=()):
+    lines = [f"ground finite {size}"]
+    names = []
+    for p in points:
+        names.append(f"P{p}")
+        lines.append(f"set P{p} = {{{p}}}")
+    if extra is not None:
+        names.append("R")
+        lines.append("set R = {" + ",".join(map(str, extra)) + "}")
+    lines += ["subbase " + " ".join(names), "samples " + " ".join(map(str, samples))]
+    return "\n".join(lines) + "\n"
+
+
+def _timed_main(argv):
+    start = time.perf_counter()
+    rc = main(argv)
+    return rc, time.perf_counter() - start
+
+
+def test_star_on_a_wide_family_within_two_seconds(tmp_path, capsys):
+    # 13 singleton opens on 16 points: 16 atoms, 2^13 + 1 = 8,193 opens
+    path = tmp_path / "family.top"
+    path.write_text(_singletons_file(16, range(13), samples=(13, 14, 15)))
+    rc, elapsed = _timed_main(["star", str(path), "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["summary"]["opens"] == 8193 and doc["summary"]["atoms"] == 16
+    assert elapsed < 2.0
+
+
+def test_check_on_a_near_discrete_model_within_two_seconds(tmp_path, capsys):
+    # ten singletons and one wider set: 12 atoms and 1,024 + 256 + 1 = 1,281
+    # opens; the sample's atom has the whole model as its monad, so coverage
+    # holds and the nested-open sandwich runs too
+    path = tmp_path / "wide.top"
+    path.write_text(_singletons_file(16, range(10), extra=(2, 3, 10, 11, 12, 13, 14),
+                                     samples=(15,)))
+    rc, elapsed = _timed_main(["check", str(path), "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"]["opens"] == 1281 and doc["summary"]["atoms"] == 12
+    status = {item["name"]: item["status"] for item in doc["items"]}
+    assert status["star-identities"] == "pass" and status["coverage"] == "info"
+    assert rc == 1 and status["monad-sandwich"] == "fail"
+    assert elapsed < 2.0
+
+
+# -- the benchmark's tracer ---------------------------------------------------
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("topobench_spans",
+                                                  ROOT / "topobench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _every_command(out_dir):
+    argvs = [["enumerate", "--n", "3"]]
+    for path in sorted(PRES.glob("*.top")):
+        for command in ("check", "star", "beta", "beta2", "retract", "dcomp"):
+            argvs.append([command, str(path)])
+        for kind in ("t0", "t2"):
+            argvs.append(["reflect", str(path), "--kind", kind])
+        argvs.append(["dot", str(path), "--out", str(out_dir / f"{path.stem}.dot")])
+    return [argv + ["--format", "structured"] for argv in argvs]
+
+
+def test_traced_runs_match_untraced_runs(tmp_path, capsys):
+    # the benchmark wraps topolab's functions by name and reads their
+    # arguments and results; a renamed function or a changed result shape
+    # breaks install() or a hook, and tracing must not change any output
+    argvs = _every_command(tmp_path)
+    untraced = []
+    for argv in argvs:
+        rc = main(argv)
+        untraced.append((rc, capsys.readouterr().out))
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        traced = []
+        for argv in argvs:
+            rc = topolab.cli.main(argv)  # the patched binding
+            traced.append((rc, capsys.readouterr().out))
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    agg = tracer.aggregate()
+    assert agg["calls"]["cli.main"] == len(argvs)
+    assert agg["calls"]["fintop.FinSpace"] > 0 and agg["calls"]["setalg.ds_combine"] > 0

@@ -6,9 +6,11 @@ the library's own kernel, and iso_check is validated against a plain
 permutation search.
 """
 import itertools
+import random
 
 import pytest
 
+import oracles
 from topolab.errors import SizeCapExceeded
 from topolab.fintop import (
     FinSpace,
@@ -18,7 +20,6 @@ from topolab.fintop import (
     hasse_dot,
     interior,
     iso_check,
-    locally_compact_literal,
     monad,
     property_report,
     specialization,
@@ -166,7 +167,7 @@ def test_locally_compact_reduction_lemma(enumerations):
     # the monad-based checker must agree with the literal subset search
     for n in range(4):
         for s in enumerations[n]:
-            assert locally_compact_literal(s) == property_report(s).locally_compact
+            assert oracles.locally_compact_literal(s) == property_report(s).locally_compact
 
 
 def test_hierarchy_and_discreteness(enumerations):
@@ -193,6 +194,81 @@ def test_witnesses_only_for_false_flags(enumerations):
             rep = property_report(s)
             for name, ok in rep.flags().items():
                 assert (rep.witness(name) is None) == ok
+
+
+# -- monad fast paths against the definitional oracles ------------------------
+
+def _spaces_under_test(enumerations, corpus_models):
+    # every enumerated space, the model spaces of the corpus (up to 9
+    # atoms) and random spaces on 5 and 6 points
+    out = [s for spaces in enumerations.values() for s in spaces]
+    out += [m.space for _, _, m in corpus_models]
+    rng = random.Random(5)
+    for n in (5, 6):
+        out += [generate_topology(n, rng.sample(range(1 << n), rng.randint(1, 4)))
+                for _ in range(150)]
+    return out
+
+
+def test_property_report_matches_definitions(enumerations, corpus_models):
+    witness_of = {
+        "regular": oracles.regular_witness,
+        "completely_regular": oracles.completely_regular_witness,
+        "normal": oracles.normal_witness,
+    }
+    for s in _spaces_under_test(enumerations, corpus_models):
+        rep = property_report(s)
+        for flag, oracle in witness_of.items():
+            want = oracle(s)
+            assert getattr(rep, flag) == (want is None), (s.opens, flag)
+            assert rep.witness(flag) == want, (s.opens, flag)
+
+
+def test_closure_and_interior_match_definitions(enumerations, corpus_models):
+    for s in _spaces_under_test(enumerations, corpus_models):
+        masks = range(1 << s.n) if s.n <= 4 else [1 << x for x in range(s.n)] + list(s.opens)
+        for a in masks:
+            assert interior(s, a) == oracles.interior_by_opens(s.opens, a)
+            assert closure(s, a) == oracles.closure_by_opens(s.n, s.opens, a)
+
+
+def test_generate_topology_matches_pairwise_closure(enumerations, corpus_models):
+    rng = random.Random(11)
+    cases = [(s.n, s.opens) for spaces in enumerations.values() for s in spaces]
+    cases += [(s.n, [monad(s, x) for x in range(s.n)])
+              for spaces in enumerations.values() for s in spaces]
+    cases += [(len(m.atoms), [m.frame.mask_of(g) for g in p.subbase])
+              for _, p, m in corpus_models]
+    for n in range(5):
+        masks = range(1 << n)
+        cases += [(n, pick) for r in (1, 2) for pick in itertools.combinations(masks, r)]
+        cases += [(n, rng.sample(masks, rng.randint(0, 1 << n))) for _ in range(200)]
+    for n, subbase in cases:
+        assert generate_topology(n, subbase).opens == oracles.generate_by_closure(n, subbase)
+
+
+def _accepts(n, family):
+    try:
+        FinSpace(n, tuple(family))
+    except ValueError:
+        return False
+    return True
+
+
+def test_finspace_accepts_exactly_the_topologies(enumerations):
+    for n in range(4):
+        masks = range(1 << n)
+        for pick in range(1 << (1 << n)):
+            family = [o for o in masks if (pick >> o) & 1]
+            assert _accepts(n, family) == oracles.is_topology(n, family), (n, family)
+    rng = random.Random(7)
+    families = [rng.sample(range(16), rng.randint(0, 16)) for _ in range(3000)]
+    for s in enumerations[4]:
+        # one mask added to or taken from a topology: mostly non-topologies
+        for o in range(1, 15):
+            families.append(set(s.opens) ^ {o})
+    for family in families:
+        assert _accepts(4, family) == oracles.is_topology(4, family), family
 
 
 # -- enumeration oracle ----------------------------------------------------

@@ -1,6 +1,7 @@
 """The batched reflection kernel must match the brute-force search per source."""
 import numpy as np
 
+import oracles
 from topolab import _kernels, reflect
 from topolab.fintop import FinSpace, enumerate_topologies, property_report
 from topolab.reflect import _class_tables, _space_bitmap, t0_reflection, t2_reflection
@@ -14,7 +15,7 @@ def _batch(quotients):
 def _bruteforce(q, tgt):
     # the search also counts maps with exactly one factorization, which must
     # be every factored one
-    ncont, nfact, nuniq = _kernels.reflection_counts_bruteforce(
+    ncont, nfact, nuniq = oracles.reflection_counts_bruteforce(
         q.source.n, _space_bitmap(q.source), q.target.n, _space_bitmap(q.target),
         q.assign, tgt.n, tgt.opens)
     assert nfact == nuniq

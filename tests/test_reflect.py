@@ -1,6 +1,7 @@
 """Reflections, fragment compactifications, adherence, and the retraction."""
 import pytest
 
+from oracles import continuous_point_maps, factorizations_through
 from topolab.errors import AmbiguousRetraction, NoRetraction
 from topolab.corpus import (
     chain_fragment,
@@ -18,8 +19,6 @@ from topolab.reflect import (
     adherence,
     beta2_fragment,
     beta_fragment,
-    continuous_point_maps,
-    factorizations_through,
     retraction,
     t0_reflection,
     t2_reflection,

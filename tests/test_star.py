@@ -4,8 +4,11 @@ Expected atom layouts and masks were worked out by hand from the
 presentations (the chain fragment's algebra has exactly the four cells
 {1},{2},{3},{0}|tail(4)) and frozen here.
 """
+import dataclasses
+
 import pytest
 
+import oracles
 from topolab.errors import (
     AtomCapExceeded,
     GroundMismatch,
@@ -40,6 +43,7 @@ from topolab.star import (
     fragment_continuous,
     model_monad,
     robinson_coverage,
+    sample_space,
     sandwich_violations,
     star_identity_violations,
     star_map,
@@ -183,6 +187,35 @@ def test_star_identities_on_corpus(corpus_models):
         assert star_identity_violations(m) == [], name
 
 
+def _shows(check, m, sets):
+    try:
+        return bool(check(m, sets))
+    except NotInAlgebra:
+        return True
+
+
+@pytest.mark.parametrize("name", ["chain3", "pointed_chain2", "discrete3", "partition3",
+                                  "finite_discrete3", "sierpinski"])
+def test_flipped_frame_bit_shows_in_certificate_and_oracle(name, corpus_models):
+    # the sets come from the atoms by ds_combine, not from the frame, so a
+    # broken frame word cannot hide in them
+    m = next(m for n, _, m in corpus_models if n == name)
+    sets = [_union_fold(m, mask) for mask in range(1 << len(m.atoms))]
+    words = m.frame.words
+    window = 0
+    for w in words:
+        window |= w
+    flips = [(0, words[0] & -words[0]),                  # drop a point of atom 0
+             (len(words) - 1, words[0] & -words[0]),     # give it to the last atom too
+             (0, 1 << (window.bit_length() - 1))]        # flip atom 0 at the top bit
+    for i, bit in flips:
+        broken = list(words)
+        broken[i] ^= bit
+        bad = dataclasses.replace(m, frame=dataclasses.replace(m.frame, words=tuple(broken)))
+        assert _shows(star_identity_violations, bad, sets), (name, i, bit)
+        assert _shows(oracles.star_identity_pairs, bad, sets), (name, i, bit)
+
+
 def test_star_restricts_to_samples(corpus_models):
     # standard atoms inside star(A) correspond exactly to samples inside A
     for name, p, m in corpus_models:
@@ -196,6 +229,19 @@ def test_star_restricts_to_samples(corpus_models):
 def test_embedding_homeomorphic(corpus_models):
     for name, p, m in corpus_models:
         assert embedding_is_homeomorphic(m), name
+
+
+def test_sample_space_is_the_trace_of_the_fragment_opens(corpus_models, enumerations):
+    models = [m for _, _, m in corpus_models]
+    models += [build_star(presentation_of_space(s))
+               for spaces in enumerations.values() for s in spaces]
+    for m in models:
+        samples = m.presentation.samples
+        traces = set()
+        for o in m.space.opens:
+            gset = m.union_of(o)
+            traces.add(sum(1 << j for j, s in enumerate(samples) if s in gset))
+        assert set(sample_space(m).opens) == traces
 
 
 def test_model_always_compact_locally_compact_supercompact(corpus_models):
