@@ -1,8 +1,10 @@
 """Hot loops behind topology enumeration and the weak-reflection sweep.
 
-Both kernels are vectorized numpy scans over every candidate at once.
-The tests pin `reflection_counts` against a pure-python search over
-every factor map (`reflection_counts_bruteforce` in tests/oracles.py).
+Both kernels are vectorized numpy passes over every candidate at once.
+The tests pin `topology_codes` against a scan of every code word and
+`reflection_counts` against a pure-python search over every factor map
+(`topology_codes_by_scan` and `reflection_counts_bruteforce` in
+tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -12,22 +14,40 @@ import numpy as np
 # -- topology enumeration --------------------------------------------
 #
 # A family of subsets of an n-point set is encoded as a code word whose
-# bit s says whether subset-mask s belongs to the family.  A code is a
-# topology iff bits 0 (empty set) and 2**n - 1 (whole set) are on and
-# the on-bits are closed under union and intersection of masks.
+# bit s says whether subset-mask s belongs to the family.  A topology on
+# a finite set is fixed by its monads, the minimal open neighbourhoods:
+# the opens are exactly the unions of monads (Alexandroff 1937).  A tuple
+# of masks (m_0, ..., m_{n-1}) is the monad tuple of some topology iff
+# x is in m_x and the tuple is closed, y in m_x putting m_y inside m_x;
+# the topology is then the unions of the m_x, whose monads are the m_x
+# again, so closed tuples and topologies correspond one to one.
 
 
 def topology_codes(n: int) -> np.ndarray:
+    """Code words of every topology on n points, ascending, as uint32."""
     nsub = 1 << n
-    full = nsub - 1
-    codes = np.arange(1 << nsub, dtype=np.uint32)
-    member = ((codes[:, None] >> np.arange(nsub, dtype=np.uint32)[None, :]) & 1).astype(bool)
-    ok = member[:, 0] & member[:, full]
+    # monads[t, x]: candidate monad of point x in tuple t, grown one point
+    # at a time and pruned to the tuples closed on the points chosen so far
+    monads = np.zeros((1, 0), dtype=np.int64)
+    for x in range(n):
+        choices = np.array([m for m in range(nsub) if (m >> x) & 1], dtype=np.int64)
+        monads = np.hstack([np.repeat(monads, len(choices), axis=0),
+                            np.tile(choices, len(monads))[:, None]])
+        ok = np.ones(len(monads), dtype=bool)
+        for y in range(x):
+            for a, b in ((x, y), (y, x)):
+                inside = ((monads[:, a] >> b) & 1) == 1
+                ok &= ~inside | ((monads[:, b] & ~monads[:, a]) == 0)
+        monads = monads[ok]
+    # subset s is open iff it holds the monad of each of its points
+    codes = np.zeros(len(monads), dtype=np.int64)
     for s in range(nsub):
-        for t in range(s + 1, nsub):
-            both = member[:, s] & member[:, t]
-            ok &= ~both | (member[:, s | t] & member[:, s & t])
-    return codes[ok]
+        is_open = np.ones(len(monads), dtype=bool)
+        for x in range(n):
+            if (s >> x) & 1:
+                is_open &= (monads[:, x] & ~s) == 0
+        codes |= is_open.astype(np.int64) << s
+    return np.sort(codes).astype(np.uint32)
 
 
 # -- weak-reflection sweep -------------------------------------------

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import FamilyTooLarge, GroundMismatch
-from .fintop import FinSpace, generate_topology, iso_check, subspace
+from .errors import FamilyTooLarge, GroundMismatch, SizeCapExceeded
+from .fintop import MAX_POINTS, FinSpace, generate_topology, iso_check, subspace
 from .reflect import beta2_fragment
 # unused here, but topobench's tracer self-test checks that this binding is patched
 from .setalg import DefSet, ds_combine  # noqa: F401
@@ -81,31 +81,37 @@ def dcomp_embed(p: SpacePresentation, fam: DyadFamily,
                 model: StarModel | None = None) -> DyadEmbedding:
     """Evaluate the family over the whole ground.
 
-    A value vector (bit i set iff the point is outside fam.maps[i]) is
-    realized iff the matching algebra cell has an atom below it, never by
-    scanning sample points.  The image carries the cylinder subspace
-    topology; the closure adds every vector whose minimal neighbourhood
-    in the dyad power meets the image, which is the bitwise-superset
-    test, and carries the same kind of subspace topology.
+    A value vector has bit i set iff the point is outside fam.maps[i].
+    Every atom lies inside or outside each member, so all points of an
+    atom share one vector, its signature, and the realized vectors are
+    exactly the distinct atom signatures, never found by scanning sample
+    points.  The image carries the cylinder subspace topology; the
+    closure adds every vector whose minimal neighbourhood in the dyad
+    power meets the image, which is the bitwise-superset test, and
+    carries the same kind of subspace topology.  The closure is grown
+    one bit at a time and refused as soon as it passes the point cap.
     """
     k = len(fam.maps)
     if k > FAMILY_CAP:
         raise FamilyTooLarge(f"{k} maps exceed the family cap {FAMILY_CAP}")
     m = model if model is not None else build_star(p)
     member_masks = [star_of(m, g) for g in fam.maps]
-    all_atoms = (1 << len(m.atoms)) - 1
-    realized = []
-    for v in range(1 << k):
-        cell = all_atoms
-        for i in range(k):
-            cell &= (all_atoms ^ member_masks[i]) if (v >> i) & 1 else member_masks[i]
-        if cell:
-            realized.append(v)
-    image_vectors = tuple(realized)
+    image_vectors = tuple(sorted({
+        sum(1 << i for i, mask in enumerate(member_masks) if not (mask >> a) & 1)
+        for a in range(len(m.atoms))}))
     # a vector w is adherent iff some realized v has ones(v) ⊆ ones(w): the
     # minimal neighbourhood of w in the power is {u : ones(u) ⊆ ones(w)}
-    closure_vectors = tuple(w for w in range(1 << k)
-                            if any(v & ~w == 0 for v in image_vectors))
+    closure = set(image_vectors)
+    frontier = list(image_vectors)
+    while frontier:
+        grown = {v | 1 << i for v in frontier for i in range(k)} - closure
+        closure |= grown
+        if len(closure) > MAX_POINTS:
+            raise SizeCapExceeded(
+                f"dyad closure of {k} maps has more than {MAX_POINTS} points, "
+                f"outside [0, {MAX_POINTS}]")
+        frontier = list(grown)
+    closure_vectors = tuple(sorted(closure))
     image = _cylinder_space(image_vectors, k)
     clo = _cylinder_space(closure_vectors, k)
     vec_index = {v: j for j, v in enumerate(image_vectors)}

@@ -8,8 +8,8 @@ false flag carries the witness the definition would find first; the
 definitional forms are kept in the tests as oracles.
 
 The enumerator of all topologies on up to 4 points doubles as the
-brute-force oracle for the separation equivalences; its hot scan is the
-vectorized numpy kernel in _kernels.
+brute-force oracle for the separation equivalences; the vectorized numpy
+kernel in _kernels builds it from the closed tuples of monads.
 """
 from __future__ import annotations
 

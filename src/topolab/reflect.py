@@ -14,6 +14,8 @@ classes) is part of the result contract.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import AmbiguousRetraction, NoRetraction
-from .fintop import FinSpace, enumerate_topologies, monad, property_report, specialization
+from .fintop import FinSpace, enumerate_topologies, monad, specialization
 from .star import (
     SpacePresentation,
     StarModel,
@@ -261,18 +263,26 @@ def _class_tables(q: QuotientMap) -> tuple[np.ndarray, ...]:
     return _space_bitmap(q.source), image, q_bitmap, saturated
 
 
-def weak_reflection_sweep(max_n: int = 4, kind: str = "t0") -> SweepReport:
-    """Check the weak universal property exhaustively.
+def _relabelings(n: int) -> np.ndarray:
+    """(n!, 2**n) table: row p sends each subset mask of the n points to its
+    image under the p-th permutation of the points."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    rows = np.zeros((math.factorial(n), 1 << n), dtype=np.int64)
+    for p, perm in enumerate(itertools.permutations(range(n))):
+        for x, y in enumerate(perm):
+            rows[p] |= ((masks >> x) & 1) << y
+    return rows
 
-    Every continuous map from any space on ≤ max_n points into any T0
-    (resp. discrete) space on ≤ max_n points must factor through the T0
-    (resp. T2) reflection.  `_kernels.reflection_counts` counts each
-    target against all sources of one size at once.
 
-    `nonunique_pairs` is always empty: a `QuotientMap` is onto (its
-    constructor rejects anything else), so a factoring map is forced on
-    every class and there is at most one factorization.  The kernel tests
-    pin this against a search over every factor map.
+def _sweep_counts(max_n: int, kind: str) -> tuple[
+        list[FinSpace], list[FinSpace], list[tuple[list[int], np.ndarray, np.ndarray]]]:
+    """The sweep's labeled sources and targets, and for each homeomorphism
+    class of targets: the indices of its labeled members and, per source,
+    how many maps into the first member are continuous and how many of
+    those factor through the reflection.
+
+    A class is keyed by its canonical form, the least sorted open family
+    over every relabeling of the points.
     """
     if kind not in ("t0", "t2"):
         raise ValueError("kind must be 't0' or 't2'")
@@ -281,24 +291,60 @@ def weak_reflection_sweep(max_n: int = 4, kind: str = "t0") -> SweepReport:
     by_size = [list(enumerate_topologies(n)) for n in range(max_n + 1)]
     sources = [s for spaces in by_size for s in spaces]
     if kind == "t0":
-        targets = [s for s in sources if property_report(s).t0]
+        # T0 iff distinct points have distinct monads
+        targets = [s for s in sources if len({monad(s, x) for x in range(s.n)}) == s.n]
         reflection = t0_reflection
     else:
         targets = [FinSpace(n, tuple(range(1 << n))) for n in range(max_n + 1)]
         reflection = t2_reflection
-    batches = []  # (index of the first source, size, stacked tables)
-    first = 0
-    for n, spaces in enumerate(by_size):
-        rows = zip(*(_class_tables(reflection(s)) for s in spaces))
-        batches.append((first, n, [np.stack(r) for r in rows]))
-        first += len(spaces)
-    unfactored = []
-    total_maps = 0
+    batches = [(n, [np.stack(r) for r in zip(*(_class_tables(reflection(s)) for s in spaces))])
+               for n, spaces in enumerate(by_size)]
+    relabel = [_relabelings(n) for n in range(max_n + 1)]
+    classes: dict[tuple, list[int]] = {}
     for ti, t in enumerate(targets):
+        images = np.sort(relabel[t.n][:, list(t.opens)], axis=1)
+        classes.setdefault((t.n, min(map(tuple, images.tolist()))), []).append(ti)
+    counts = []
+    for members in classes.values():
+        t = targets[members[0]]
         opens = np.array(t.opens, dtype=np.int64)
-        for first, n_s, (sbm, image, qbm, saturated) in batches:
-            ncont, cont, fact = _kernels.reflection_counts(
-                n_s, sbm, image, qbm, saturated, t.n, opens)
-            total_maps += ncont
-            unfactored.extend((first + int(i), ti) for i in np.flatnonzero(fact != cont))
+        per_size = [_kernels.reflection_counts(n_s, *tables, t.n, opens)[1:]
+                    for n_s, tables in batches]
+        counts.append((members, np.concatenate([c for c, _ in per_size]),
+                       np.concatenate([f for _, f in per_size])))
+    return sources, targets, counts
+
+
+def weak_reflection_sweep(max_n: int = 4, kind: str = "t0") -> SweepReport:
+    """Check the weak universal property exhaustively.
+
+    Every continuous map from any space on ≤ max_n points into any T0
+    (resp. discrete) space on ≤ max_n points must factor through the T0
+    (resp. T2) reflection.  `_kernels.reflection_counts` counts one target
+    against all sources of one size at once, and runs once per
+    homeomorphism class of targets (25 classes for the 243 T0 targets at
+    max_n = 4): each count is weighted by the class size, and a failing
+    source is reported against every labeled member of the class.
+
+    This is exact.  Let h: T → T′ be a homeomorphism and q: S → Q the
+    reflection of a source S.  Composing with h is a bijection from the
+    continuous maps S → T onto the continuous maps S → T′, with inverse
+    composing with h⁻¹.  If f = F∘q with F: Q → T continuous, then
+    h∘f = (h∘F)∘q with h∘F continuous; conversely h∘f = G∘q gives
+    f = (h⁻¹∘G)∘q.  So the pair (S, T′) has as many continuous and as
+    many factored maps as (S, T).
+
+    `nonunique_pairs` is always empty: a `QuotientMap` is onto (its
+    constructor rejects anything else), so a factoring map is forced on
+    every class and there is at most one factorization.  The kernel tests
+    pin this against a search over every factor map.
+    """
+    sources, targets, counts = _sweep_counts(max_n, kind)
+    total_maps = 0
+    unfactored = []
+    for members, cont, fact in counts:
+        total_maps += int(cont.sum()) * len(members)
+        failing = np.flatnonzero(fact != cont)
+        unfactored.extend((int(si), ti) for ti in members for si in failing)
+    unfactored.sort(key=lambda pair: (pair[1], pair[0]))
     return SweepReport(len(sources), len(targets), total_maps, tuple(unfactored), ())

@@ -5,16 +5,23 @@ open family, the quantifiers of regularity, complete regularity and
 normality over every open and closed set, every Boolean identity of the
 star map over every pair of sets, local compactness by a search over
 subsets and covers, and continuity and factoring by a search over every
-point map.  They are quadratic or worse in the number of opens (the
-searches are exponential) and run only in the tests, where they are
-compared with the monad-based code in `topolab.fintop`, the linear
-certificate in `topolab.star` and the sweep kernel in `topolab._kernels`.
+point map.  The slower forms of three fast paths stay here too: the
+scan of every code word for topology enumeration, the weak-reflection
+sweep over every labeled target, and the scan of every dyad vector.
+They are quadratic or worse in the number of opens (the searches are
+exponential) and run only in the tests, where they are compared with
+the monad-based code in `topolab.fintop`, the linear certificate in
+`topolab.star`, the kernels in `topolab._kernels`, the orbit sweep in
+`topolab.reflect` and the signature image in `topolab.dcomp`.
 """
 import itertools
 from typing import Sequence
 
-from topolab.fintop import FinSpace, interior, subspace
-from topolab.reflect import QuotientMap
+import numpy as np
+
+from topolab import _kernels, reflect
+from topolab.fintop import FinSpace, enumerate_topologies, interior, property_report, subspace
+from topolab.reflect import QuotientMap, SweepReport
 from topolab.setalg import DefSet, ds_combine
 from topolab.star import star_of
 
@@ -225,3 +232,71 @@ def reflection_counts_bruteforce(n_s: int, src_bitmap, n_q: int, q_bitmap,
         nfact += 1 if hits >= 1 else 0
         nuniq += 1 if hits == 1 else 0
     return ncont, nfact, nuniq
+
+
+def topology_codes_by_scan(n):
+    """Every code word of an n-point family (bit s on iff subset-mask s is
+    in it) that contains the empty and the full set and is closed under
+    pairwise union and intersection, scanning all 2**(2**n) words."""
+    nsub = 1 << n
+    full = nsub - 1
+    codes = np.arange(1 << nsub, dtype=np.uint32)
+    member = ((codes[:, None] >> np.arange(nsub, dtype=np.uint32)[None, :]) & 1).astype(bool)
+    ok = member[:, 0] & member[:, full]
+    for s in range(nsub):
+        for t in range(s + 1, nsub):
+            both = member[:, s] & member[:, t]
+            ok &= ~both | (member[:, s | t] & member[:, s & t])
+    return codes[ok]
+
+
+def labeled_sweep(max_n, kind):
+    """The weak-reflection sweep with one kernel call per labeled target and
+    source size, T0 targets picked by `property_report`.  Returns the
+    report and the (continuous, factored) count of every (source, target)
+    index pair."""
+    by_size = [list(enumerate_topologies(n)) for n in range(max_n + 1)]
+    sources = [s for spaces in by_size for s in spaces]
+    if kind == "t0":
+        targets = [s for s in sources if property_report(s).t0]
+        reflection = reflect.t0_reflection
+    else:
+        targets = [FinSpace(n, tuple(range(1 << n))) for n in range(max_n + 1)]
+        reflection = reflect.t2_reflection
+    batches = []
+    first = 0
+    for n, spaces in enumerate(by_size):
+        rows = zip(*(reflect._class_tables(reflection(s)) for s in spaces))
+        batches.append((first, n, [np.stack(r) for r in rows]))
+        first += len(spaces)
+    unfactored = []
+    pairs = {}
+    total_maps = 0
+    for ti, t in enumerate(targets):
+        opens = np.array(t.opens, dtype=np.int64)
+        for first, n_s, tables in batches:
+            ncont, cont, fact = _kernels.reflection_counts(n_s, *tables, t.n, opens)
+            total_maps += ncont
+            for i, (c, f) in enumerate(zip(cont.tolist(), fact.tolist())):
+                pairs[first + i, ti] = (c, f)
+            unfactored.extend((first + int(i), ti) for i in np.flatnonzero(fact != cont))
+    report = SweepReport(len(sources), len(targets), total_maps, tuple(unfactored), ())
+    return report, pairs
+
+
+def dyad_vectors_by_scan(m, fam):
+    """(image, closure) vectors of a dyad family over a model, scanning all
+    2**k vectors: v is realized iff the algebra cell it names has an atom,
+    and w is in the closure iff it holds the ones of some realized v."""
+    k = len(fam.maps)
+    member_masks = [star_of(m, g) for g in fam.maps]
+    all_atoms = (1 << len(m.atoms)) - 1
+    realized = []
+    for v in range(1 << k):
+        cell = all_atoms
+        for i in range(k):
+            cell &= (all_atoms ^ member_masks[i]) if (v >> i) & 1 else member_masks[i]
+        if cell:
+            realized.append(v)
+    closure = [w for w in range(1 << k) if any(v & ~w == 0 for v in realized)]
+    return tuple(realized), tuple(closure)

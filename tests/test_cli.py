@@ -162,7 +162,8 @@ def test_exit_two_on_atom_cap(monkeypatch, capsys):
 
 def test_exit_two_on_wide_dyad_closure(capsys):
     assert main(["dcomp", str(PRES / "discrete_n.top")]) == 2
-    assert "outside [0, 16]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "outside [0, 16]" in err and "dyad closure" in err
 
 
 def test_exit_two_when_generators_split_past_the_point_cap(tmp_path, capsys):

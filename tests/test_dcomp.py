@@ -1,6 +1,10 @@
 """Evaluation into dyad powers and the crosscheck against the T0 target."""
+from pathlib import Path
+
 import pytest
 
+from oracles import dyad_vectors_by_scan
+from topolab.cli import parse_presentation
 from topolab.corpus import (
     chain_fragment,
     discrete_fragment,
@@ -22,9 +26,11 @@ from topolab.errors import (
     NotInAlgebra,
     SizeCapExceeded,
 )
-from topolab.fintop import FinSpace, closure, generate_topology, iso_check, subspace
+from topolab.fintop import MAX_POINTS, FinSpace, closure, generate_topology, iso_check, subspace
 from topolab.setalg import OMEGA, DefSet, Ground
-from topolab.star import SpacePresentation
+from topolab.star import SpacePresentation, build_star
+
+PRES = Path(__file__).resolve().parent.parent / "presentations"
 
 
 def test_dyad_is_sierpinski_with_open_origin():
@@ -116,6 +122,28 @@ def test_image_vectors_inside_closure(corpus_models):
             continue  # closure too wide for a finite space; capped by contract
         assert set(e.image_vectors) <= set(e.closure_vectors), name
         assert all(0 <= j < len(e.image_vectors) for j in e.eval), name
+
+
+def test_vectors_match_the_full_scan(corpus_models):
+    # signature image and grown closure against the scan of all 2**k
+    # vectors, on every corpus model and every shipped file; a closure past
+    # the point cap is refused, and the scan confirms it is that wide
+    shipped = []
+    for path in sorted(PRES.glob("*.top")):
+        p = parse_presentation(path.read_text()).presentation()
+        shipped.append((path.name, p, build_star(p)))
+    refused = []
+    for name, p, m in corpus_models + shipped:
+        fam = dyad_family_of(p)
+        image, closure_vectors = dyad_vectors_by_scan(m, fam)
+        if len(closure_vectors) > MAX_POINTS:
+            with pytest.raises(SizeCapExceeded, match="dyad closure"):
+                dcomp_embed(p, fam, model=m)
+            refused.append(name)
+            continue
+        e = dcomp_embed(p, fam, model=m)
+        assert (e.image_vectors, e.closure_vectors) == (image, closure_vectors), name
+    assert "discrete_n.top" in refused and len(refused) < len(corpus_models + shipped)
 
 
 def test_eval_injective_iff_samples_monad_separated():

@@ -1,10 +1,27 @@
-"""The batched reflection kernel must match the brute-force search per source."""
+"""The enumeration kernel must match the scan of every code word, and the
+batched reflection kernel the brute-force search per source."""
 import numpy as np
 
 import oracles
 from topolab import _kernels, reflect
-from topolab.fintop import FinSpace, enumerate_topologies, property_report
+from topolab.fintop import FinSpace, enumerate_topologies, iso_check, property_report
 from topolab.reflect import _class_tables, _space_bitmap, t0_reflection, t2_reflection
+
+
+def test_topology_codes_match_the_code_scan():
+    for n in range(5):
+        codes = _kernels.topology_codes(n)
+        assert codes.dtype == np.uint32
+        assert np.array_equal(codes, oracles.topology_codes_by_scan(n))
+
+
+def test_topology_codes_at_five_points():
+    # OEIS A000798: 6,942 topologies on 5 labeled points, out of reach of
+    # the 2**32-word scan; each code must decode to a valid topology
+    codes = _kernels.topology_codes(5).tolist()
+    assert len(codes) == 6942 and codes == sorted(set(codes))
+    for code in codes:
+        FinSpace(5, tuple(s for s in range(32) if (code >> s) & 1))
 
 
 def _batch(quotients):
@@ -87,8 +104,24 @@ def test_knocked_out_quotient_open_shows_as_unfactored(monkeypatch):
         return sbm, image, q_bitmap, saturated
 
     monkeypatch.setattr(reflect, "_class_tables", knocked)
+    sources = [s for n in range(3) for s in enumerate_topologies(n)]
     for kind in ("t0", "t2"):
         rep = reflect.weak_reflection_sweep(2, kind)
-        sources = [s for n in range(3) for s in enumerate_topologies(n)]
         assert rep.unfactored_pairs
         assert {sources[si] for si, _ in rep.unfactored_pairs} == {discrete}
+        # the orbit sweep reports exactly what the labeled sweep reports,
+        # every labeled member of a failing target class included
+        assert rep.unfactored_pairs == oracles.labeled_sweep(2, kind)[0].unfactored_pairs
+        if kind == "t0":
+            targets = [s for s in sources if property_report(s).t0]
+        else:
+            targets = [FinSpace(n, tuple(range(1 << n))) for n in range(3)]
+        failing = set(rep.unfactored_pairs)
+        for si, ti in failing:
+            for tj, other in enumerate(targets):
+                if iso_check(targets[ti], other) is not None:
+                    assert (si, tj) in failing
+        if kind == "t0":
+            # both labelings of the Sierpinski space, one class of two
+            sierpinski = {ti for ti, t in enumerate(targets) if len(t.opens) == 3}
+            assert len(sierpinski) == 2 and sierpinski <= {ti for _, ti in failing}

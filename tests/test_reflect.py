@@ -1,7 +1,9 @@
 """Reflections, fragment compactifications, adherence, and the retraction."""
+import time
+
 import pytest
 
-from oracles import continuous_point_maps, factorizations_through
+from oracles import continuous_point_maps, factorizations_through, labeled_sweep
 from topolab.errors import AmbiguousRetraction, NoRetraction
 from topolab.corpus import (
     chain_fragment,
@@ -16,6 +18,7 @@ from topolab.corpus import (
 from topolab.fintop import FinSpace, closure, iso_check, property_report
 from topolab.reflect import (
     QuotientMap,
+    _sweep_counts,
     adherence,
     beta2_fragment,
     beta_fragment,
@@ -244,6 +247,43 @@ def test_weak_reflection_sweep_clean():
     assert rep.unfactored_pairs == () and rep.nonunique_pairs == ()
     with pytest.raises(ValueError):
         weak_reflection_sweep(2, kind="t1")
+
+
+def test_orbit_sweep_matches_labeled_sweep_pair_by_pair():
+    # every (source, target) pair on at most 3 points: the count for the
+    # class representative stands for each labeled member of its class
+    for max_n in range(4):
+        for kind in ("t0", "t2"):
+            _, targets, counts = _sweep_counts(max_n, kind)
+            report, want = labeled_sweep(max_n, kind)
+            got = {}
+            for members, cont, fact in counts:
+                for ti in members:
+                    for si, pair in enumerate(zip(cont.tolist(), fact.tolist())):
+                        got[si, ti] = pair
+            assert got == want
+            assert weak_reflection_sweep(max_n, kind) == report
+            # the classes are exactly the homeomorphism classes
+            reps = [targets[members[0]] for members, _, _ in counts]
+            for members, _, _ in counts:
+                assert all(iso_check(targets[members[0]], targets[ti]) is not None
+                           for ti in members)
+            assert all(iso_check(a, b) is None
+                       for i, a in enumerate(reps) for b in reps[i + 1:])
+
+
+def test_sweeps_at_four_points_within_two_seconds():
+    start = time.perf_counter()
+    t0 = weak_reflection_sweep(4, kind="t0")
+    t2 = weak_reflection_sweep(4, kind="t2")
+    elapsed = time.perf_counter() - start
+    assert (t0.sources, t0.targets, t0.maps) == (390, 243, 3_045_545)
+    assert (t2.sources, t2.targets, t2.maps) == (390, 5, 8_209)
+    for rep in (t0, t2):
+        assert rep.unfactored_pairs == () and rep.nonunique_pairs == ()
+    # 25 classes of T0 targets (partial sums of OEIS A000112), 5 discrete
+    assert [len(_sweep_counts(4, kind)[2]) for kind in ("t0", "t2")] == [25, 5]
+    assert elapsed < 2.0
 
 
 def test_weak_reflection_sweep_refuses_negative_sizes():
