@@ -76,18 +76,6 @@ from .star import (
     star_of,
     ultrafilter_trace,
 )
-from .reflect import (
-    QuotientMap,
-    RetractionMap,
-    SweepReport,
-    adherence,
-    beta_fragment,
-    beta2_fragment,
-    retraction,
-    t0_reflection,
-    t2_reflection,
-    weak_reflection_sweep,
-)
 from .dcomp import (
     DYAD,
     CrosscheckReport,
@@ -100,3 +88,16 @@ from .dcomp import (
 )
 
 __version__ = "0.1.0"
+
+# reflect loads numpy, which most commands never run: its names resolve on
+# first use (PEP 562)
+_REFLECT_NAMES = {
+    "QuotientMap", "RetractionMap", "SweepReport", "adherence", "beta_fragment", "beta2_fragment",
+    "retraction", "t0_reflection", "t2_reflection", "weak_reflection_sweep"}
+
+
+def __getattr__(name):
+    if name in _REFLECT_NAMES:
+        from . import reflect
+        return getattr(reflect, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

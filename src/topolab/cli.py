@@ -35,7 +35,6 @@ from .fintop import (
     property_report,
     specialization,
 )
-from .reflect import beta2_fragment, retraction, t0_reflection, t2_reflection
 from .setalg import OMEGA, DefSet, Ground, parse_set_expr
 from .star import (
     DefMap,
@@ -362,7 +361,7 @@ def _write_dot(m: StarModel, path: str) -> None:
         fh.write(hasse_dot(specialization(m.space), labels))
 
 
-def cmd_check(path: str, report: Report) -> None:
+def cmd_check(path: str, report: Report) -> StarModel:
     p = _load(path)
     m = build_star(p, _atom_cap())
     misses = p.sample_misses()
@@ -399,9 +398,10 @@ def cmd_check(path: str, report: Report) -> None:
     _report_flags(report, "sample-space-report", property_report(sample_space(m)))
     _report_flags(report, "model-report", rep)
     _summarize(report, m)
+    return m
 
 
-def cmd_star(path: str, report: Report) -> None:
+def cmd_star(path: str, report: Report) -> StarModel:
     p = _load(path)
     m = build_star(p, _atom_cap())
     for i in range(len(m.atoms)):
@@ -414,9 +414,12 @@ def cmd_star(path: str, report: Report) -> None:
         report.add("coverage", INFO, "uncovered atoms: " + ", ".join(
             _atom_label(m, i) for i in cov.uncovered))
     _summarize(report, m)
+    return m
 
 
-def cmd_reflect(path: str, kind: str, report: Report) -> None:
+# reflect loads numpy, so the four commands that run it import it when they run
+def cmd_reflect(path: str, kind: str, report: Report) -> StarModel:
+    from .reflect import t0_reflection, t2_reflection
     p = _load(path)
     m = build_star(p, _atom_cap())
     q = t0_reflection(m.space) if kind == "t0" else t2_reflection(m.space)
@@ -430,9 +433,11 @@ def cmd_reflect(path: str, kind: str, report: Report) -> None:
     report.check("idempotent", again.is_identity)
     report.summary.update(atoms=m.space.n, classes=q.target.n,
                           assign=list(q.assign))
+    return m
 
 
-def cmd_beta(path: str, report: Report) -> None:
+def cmd_beta(path: str, report: Report) -> StarModel:
+    from .reflect import t2_reflection
     p = _load(path)
     m = build_star(p, _atom_cap())
     q = t2_reflection(m.space)
@@ -442,9 +447,11 @@ def cmd_beta(path: str, report: Report) -> None:
     report.add("samples-embedded", INFO,
                f"{len(std_classes)} classes over {len(m.embedding)} samples")
     report.summary.update(atoms=m.space.n, classes=q.target.n, assign=list(q.assign))
+    return m
 
 
-def cmd_beta2(path: str, report: Report) -> None:
+def cmd_beta2(path: str, report: Report) -> StarModel:
+    from .reflect import beta2_fragment, t0_reflection
     p = _load(path)
     m, q = beta2_fragment(p, _atom_cap())
     rep = property_report(q.target)
@@ -455,23 +462,20 @@ def cmd_beta2(path: str, report: Report) -> None:
     iso = iso_check(q.target, chain_space(q.target.n))
     report.add("target-iso-upper-chain", INFO, "yes" if iso else "no")
     report.summary.update(atoms=m.space.n, classes=q.target.n, assign=list(q.assign))
+    return m
 
 
-def cmd_retract(path: str, report: Report) -> None:
+def cmd_retract(path: str, report: Report) -> StarModel:
+    from .reflect import retraction
     p = _load(path)
     m = build_star(p, _atom_cap())
     try:
         r = retraction(m)
-    except NoRetraction as exc:
+    except (NoRetraction, AmbiguousRetraction) as exc:
         report.add("retraction-exists", FAIL,
-                   witness=f"NoRetraction({_atom_label(m, exc.atom)}): {exc}")
+                   witness=f"{type(exc).__name__}({_atom_label(m, exc.atom)}): {exc}")
         _summarize(report, m)
-        return
-    except AmbiguousRetraction as exc:
-        report.add("retraction-exists", FAIL,
-                   witness=f"AmbiguousRetraction({_atom_label(m, exc.atom)}): {exc}")
-        _summarize(report, m)
-        return
+        return m
     report.add("retraction-exists", PASS)
     report.check("continuous", r.continuous)
     identity = all(p.samples[j] in r.assign[m.embedding[j]]
@@ -481,9 +485,10 @@ def cmd_retract(path: str, report: Report) -> None:
         report.add(f"r({_atom_label(m, i)})", INFO,
                    "{" + ",".join(str(s) for s in sorted(r.assign[i])) + "}")
     _summarize(report, m)
+    return m
 
 
-def cmd_dcomp(path: str, report: Report) -> None:
+def cmd_dcomp(path: str, report: Report) -> StarModel:
     p = _load(path)
     m = build_star(p, _atom_cap())
     fam = dyad_family_of(p)
@@ -493,11 +498,12 @@ def cmd_dcomp(path: str, report: Report) -> None:
     report.add("image-vectors", INFO,
                " ".join(format(v, f"0{max(len(fam.maps), 1)}b") for v in emb.image_vectors))
     report.add("closure-size", INFO, str(len(emb.closure_vectors)))
-    cc = dcomp_crosscheck(p, _atom_cap())
+    cc = dcomp_crosscheck(p, model=m, embedding=emb)
     report.add("beta2-embeds-in-image", INFO, "yes" if cc.embeds else "no")
     report.add("beta2-homeomorphic-to-image", INFO, "yes" if cc.homeomorphic else "no")
     report.summary.update(family=len(fam.maps), image=len(emb.image_vectors),
                           closure=len(emb.closure_vectors))
+    return m
 
 
 def cmd_enumerate(n: int, report: Report) -> None:
@@ -528,12 +534,13 @@ def cmd_enumerate(n: int, report: Report) -> None:
     report.summary.update(counts=counts, total=sum(counts))
 
 
-def cmd_dot(path: str, out: str, report: Report) -> None:
+def cmd_dot(path: str, out: str, report: Report) -> StarModel:
     p = _load(path)
     m = build_star(p, _atom_cap())
     _write_dot(m, out)
     report.add("dot-written", INFO, out)
     _summarize(report, m)
+    return m
 
 
 # -- entry point --------------------------------------------------------
@@ -582,13 +589,13 @@ def run(args: argparse.Namespace) -> Report:
             "dcomp": cmd_dcomp,
         }
         if args.command == "reflect":
-            cmd_reflect(args.file, args.kind, report)
+            m = cmd_reflect(args.file, args.kind, report)
         elif args.command == "dot":
-            cmd_dot(args.file, args.out, report)
+            m = cmd_dot(args.file, args.out, report)
         else:
-            handler[args.command](args.file, report)
+            m = handler[args.command](args.file, report)
         if getattr(args, "dot", None):
-            _write_dot(build_star(_load(args.file), _atom_cap()), args.dot)
+            _write_dot(m, args.dot)
             report.add("dot-written", INFO, args.dot)
     report.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return report

@@ -15,7 +15,6 @@ from itertools import permutations
 
 from .errors import FamilyTooLarge, GroundMismatch, SizeCapExceeded
 from .fintop import MAX_POINTS, FinSpace, generate_topology, iso_check, subspace
-from .reflect import beta2_fragment
 # unused here, but topobench's tracer self-test checks that this binding is patched
 from .setalg import DefSet, ds_combine  # noqa: F401
 from .star import SpacePresentation, StarModel, build_star, star_of
@@ -150,17 +149,22 @@ def _embedding_search(small: FinSpace, big: FinSpace) -> tuple[int, ...] | None:
     return None
 
 
-def dcomp_crosscheck(p: SpacePresentation, cap: int | None = None) -> CrosscheckReport:
-    """Compare the T0-reflected model against the canonical dyad image."""
-    model, q = beta2_fragment(p, cap)
-    emb = dcomp_embed(p, dyad_family_of(p), model=model)
+def dcomp_crosscheck(p: SpacePresentation, cap: int | None = None, *,
+                     model: StarModel | None = None,
+                     embedding: DyadEmbedding | None = None) -> CrosscheckReport:
+    """Compare the T0-reflected model against the canonical dyad image; a
+    caller that has the model or the canonical embedding passes it in."""
+    from .reflect import t0_reflection  # loads numpy, which dcomp_embed never needs
+    m = model if model is not None else build_star(p, cap)
+    emb = embedding if embedding is not None else dcomp_embed(p, dyad_family_of(p), m)
+    q = t0_reflection(m.space)
     iso = iso_check(q.target, emb.image)
-    embedding = tuple(iso) if iso is not None else _embedding_search(q.target, emb.image)
+    found = tuple(iso) if iso is not None else _embedding_search(q.target, emb.image)
     return CrosscheckReport(
         target=q.target,
         image=emb.image,
-        embeds=embedding is not None,
-        embedding=embedding,
+        embeds=found is not None,
+        embedding=found,
         homeomorphic=iso is not None,
         iso=iso,
     )

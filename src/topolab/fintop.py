@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from . import _kernels
 from .errors import SizeCapExceeded
 
 MAX_POINTS = 16
@@ -394,6 +393,7 @@ def enumerate_topologies(n: int) -> Iterator[FinSpace]:
     """Every topology on 0..n-1 exactly once, ascending in the bit encoding
     of the open family (bit s on iff subset-mask s is open)."""
     check_enum_size(n)
+    from . import _kernels  # numpy loads only for the commands that enumerate
     for code in _kernels.topology_codes(n):
         code = int(code)
         yield FinSpace(n, tuple(s for s in range(1 << n) if (code >> s) & 1))

@@ -233,8 +233,14 @@ class DefSet:
 
 
 def _bit_positions(x: int) -> list[int]:
-    """Indices of the set bits of x, ascending, in one pass over its binary digits."""
-    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+    """Indices of the set bits of x, ascending; `str.find` skips each run of
+    zero digits in C, so the Python work is one step per set bit."""
+    digits, out = bin(x)[:1:-1], []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def _canonical(low: int, t: int, p: int, res: int) -> tuple[int, int, int, int]:

@@ -1,7 +1,11 @@
-"""Presentation-file grammar, report rendering, exit codes, wall-clock guards
-and the benchmark tracer's view of the CLI."""
+"""Presentation-file grammar, report rendering, exit codes, wall-clock guards,
+the import boundary of a cold process and the benchmark tracer's view of the
+CLI."""
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -352,3 +356,109 @@ def test_traced_runs_match_untraced_runs(tmp_path, capsys):
     agg = tracer.aggregate()
     assert agg["calls"]["cli.main"] == len(argvs)
     assert agg["calls"]["fintop.FinSpace"] > 0 and agg["calls"]["setalg.ds_combine"] > 0
+
+
+def test_one_model_and_one_embedding_per_dcomp_command(tmp_path, capsys):
+    # the handler's model serves the crosscheck and the side diagram, and
+    # its embedding serves the crosscheck
+    path = str(PRES / "upper_n.top")
+    side = tmp_path / "side.dot"
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        rc = topolab.cli.main(["dcomp", path, "--format", "structured"])
+        plain = capsys.readouterr().out
+        calls = dict(tracer.aggregate()["calls"])
+        rc_dot = topolab.cli.main(["dcomp", path, "--format", "structured",
+                                   "--dot", str(side)])
+        with_dot = capsys.readouterr().out
+        calls_dot = tracer.aggregate()["calls"]
+    finally:
+        tracer.uninstall()
+    assert rc == rc_dot == 0
+    assert calls["star.build_star"] == 1 and calls["dcomp.dcomp_embed"] == 1
+    assert calls_dot["star.build_star"] == 2 and calls_dot["dcomp.dcomp_embed"] == 2
+    doc, doc_dot = json.loads(plain), json.loads(with_dot)
+    assert doc_dot["items"] == doc["items"] + [
+        {"name": "dot-written", "status": "info", "detail": str(side), "witness": ""}]
+    assert doc_dot["summary"] == doc["summary"]
+    assert main(["dot", path, "--out", str(tmp_path / "m.dot")]) == 0
+    assert side.read_text() == (tmp_path / "m.dot").read_text()
+
+
+# -- what a cold process loads -------------------------------------------------
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter that imports topolab from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _loads_numpy_after(argvs: list[list[str]]) -> tuple[list[int], dict[str, bool]]:
+    """Exit codes of the commands run in one cold process, and which of the
+    numpy-backed modules it then holds."""
+    code = f"""
+import contextlib, io, json, sys
+import topolab.cli
+rcs = []
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rcs.append(topolab.cli.main(argv))
+print(json.dumps([rcs, {{m: m in sys.modules
+                        for m in ("numpy", "topolab._kernels", "topolab.reflect")}}]))
+"""
+    proc = _fresh("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout))
+
+
+def test_commands_without_reflections_never_load_numpy(tmp_path):
+    sierp = str(PRES / "sierpinski.top")
+    rcs, loaded = _loads_numpy_after([
+        ["star", sierp], ["check", sierp], ["dot", sierp, "--out", str(tmp_path / "s.dot")],
+        ["dcomp", str(PRES / "discrete_n.top")],  # refused before the crosscheck
+    ])
+    assert rcs == [0, 0, 0, 2]
+    assert loaded == {"numpy": False, "topolab._kernels": False, "topolab.reflect": False}
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "2"],
+    ["reflect", str(PRES / "sierpinski.top")],
+])
+def test_enumeration_and_reflections_load_numpy(argv):
+    assert _loads_numpy_after([argv]) == ([0], {"numpy": True, "topolab._kernels": True,
+                                                "topolab.reflect": argv[0] == "reflect"})
+
+
+def test_reflection_names_resolve_lazily_from_the_package():
+    import topolab
+    import topolab.reflect
+    names = ("QuotientMap", "RetractionMap", "SweepReport", "adherence", "beta_fragment",
+             "beta2_fragment", "retraction", "t0_reflection", "t2_reflection",
+             "weak_reflection_sweep")
+    for name in names:
+        assert getattr(topolab, name) is getattr(topolab.reflect, name)
+    from topolab import t0_reflection
+    assert t0_reflection is topolab.reflect.t0_reflection
+    with pytest.raises(AttributeError):
+        topolab.no_such_name  # noqa: B018
+
+
+def test_fresh_processes_match_in_process_runs(tmp_path, capsys):
+    # a cold process imports modules in another order than the test process,
+    # so a lazy import that only breaks there shows up as a difference
+    path = str(PRES / "upper_n.top")
+    argvs = [[command, path] for command in
+             ("check", "star", "beta", "beta2", "retract", "dcomp")]
+    argvs += [["reflect", path, "--kind", kind] for kind in ("t0", "t2")]
+    argvs += [["dot", path, "--out", str(tmp_path / "m.dot")],
+              ["dcomp", path, "--dot", str(tmp_path / "side.dot")],
+              ["enumerate", "--n", "2"]]
+    for argv in argvs:
+        argv = argv + ["--format", "structured"]
+        proc = _fresh("-m", "topolab.cli", *argv)
+        rc = main(argv)
+        out = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out.out, out.err), argv

@@ -168,6 +168,10 @@ def test_crosscheck_embeds_and_matches(p):
     rep = dcomp_crosscheck(p)
     assert rep.embeds and rep.homeomorphic
     assert rep.iso is not None and sorted(rep.iso) == list(range(rep.target.n))
+    m = build_star(p)
+    emb = dcomp_embed(p, dyad_family_of(p), model=m)
+    assert dcomp_crosscheck(p, model=m) == rep
+    assert dcomp_crosscheck(p, model=m, embedding=emb) == rep
 
 
 def test_crosscheck_cap_on_wide_closure():

@@ -211,6 +211,20 @@ def test_describe_at_the_period_cap_is_linear():
     assert text == "|".join(f"ap({r},{CAP_EDGE_PERIOD})" for r in starts)
 
 
+def test_describing_sparse_atoms_at_the_period_cap_is_linear_in_set_bits():
+    # one residue class each, spread over the whole period: the rendering
+    # steps from set bit to set bit instead of walking all 1,047,552 digits
+    step = CAP_EDGE_PERIOD // 50
+    atoms = [DefSet.arithmetic(OMEGA, 3 + k * step, CAP_EDGE_PERIOD) for k in range(50)]
+    start = time.perf_counter()
+    texts = [a.describe() for a in atoms]
+    assert time.perf_counter() - start < 0.5
+    assert texts == [f"ap({3 + k * step},{CAP_EDGE_PERIOD})" for k in range(50)]
+    # the reference walks every residue below the set one, quadratic in its
+    # position; the first atom keeps it to one pass over the period
+    assert texts[0] == reference_describe(atoms[0])
+
+
 def test_boolean_operations_at_the_period_cap():
     start = time.perf_counter()
     union = A_1024 | B_1023
