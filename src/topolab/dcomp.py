@@ -5,16 +5,15 @@ Each fragment open G gives a continuous characteristic map into the dyad
 ground into the product of dyads; the realized value vectors are decided
 exactly through algebra-cell nonemptiness, so tails and other points no
 sample sees still contribute their vectors.  Both the image subspace and
-its product-closure are returned, and a crosscheck compares the image
-against the T0 reflection of the star model.
+its product-closure are returned, and a crosscheck certifies that the
+image is the T0 reflection of the star model.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import FamilyTooLarge, GroundMismatch, SizeCapExceeded
-from .fintop import MAX_POINTS, FinSpace, generate_topology, iso_check, subspace
+from .fintop import MAX_POINTS, FinSpace, generate_topology
 # unused here, but topobench's tracer self-test checks that this binding is patched
 from .setalg import DefSet, ds_combine  # noqa: F401
 from .star import SpacePresentation, StarModel, build_star, star_of
@@ -76,6 +75,13 @@ def _cylinder_space(vectors: tuple[int, ...], k: int) -> FinSpace:
     return generate_topology(len(vectors), subbase)
 
 
+def _atom_signatures(m: StarModel, fam: DyadFamily) -> list[int]:
+    """Per atom, its value vector: bit i is set iff it lies outside fam.maps[i]."""
+    member_masks = [star_of(m, g) for g in fam.maps]
+    return [sum(1 << i for i, mask in enumerate(member_masks) if not (mask >> a) & 1)
+            for a in range(len(m.atoms))]
+
+
 def dcomp_embed(p: SpacePresentation, fam: DyadFamily,
                 model: StarModel | None = None) -> DyadEmbedding:
     """Evaluate the family over the whole ground.
@@ -94,10 +100,7 @@ def dcomp_embed(p: SpacePresentation, fam: DyadFamily,
     if k > FAMILY_CAP:
         raise FamilyTooLarge(f"{k} maps exceed the family cap {FAMILY_CAP}")
     m = model if model is not None else build_star(p)
-    member_masks = [star_of(m, g) for g in fam.maps]
-    image_vectors = tuple(sorted({
-        sum(1 << i for i, mask in enumerate(member_masks) if not (mask >> a) & 1)
-        for a in range(len(m.atoms))}))
+    image_vectors = tuple(sorted(set(_atom_signatures(m, fam))))
     # a vector w is adherent iff some realized v has ones(v) ⊆ ones(w): the
     # minimal neighbourhood of w in the power is {u : ones(u) ⊆ ones(w)}
     closure = set(image_vectors)
@@ -123,48 +126,49 @@ def dcomp_embed(p: SpacePresentation, fam: DyadFamily,
 
 @dataclass(frozen=True)
 class CrosscheckReport:
+    """The T0 target, the dyad image and, when they are homeomorphic, the
+    homeomorphism as the image index of each target point."""
+
     target: FinSpace
     image: FinSpace
-    embeds: bool
-    embedding: tuple[int, ...] | None
     homeomorphic: bool
     iso: tuple[int, ...] | None
-
-
-def _embedding_search(small: FinSpace, big: FinSpace) -> tuple[int, ...] | None:
-    """Injective map small → big that is a homeomorphism onto its image with
-    the subspace topology, by search over injections."""
-    if small.n > big.n:
-        return None
-    for img in permutations(range(big.n), small.n):
-        mask = 0
-        for y in img:
-            mask |= 1 << y
-        sub, pts = subspace(big, mask)
-        pos = {y: j for j, y in enumerate(pts)}
-        mapped = {sum(1 << pos[img[x]] for x in range(small.n) if (o >> x) & 1)
-                  for o in small.opens}
-        if mapped == set(sub.opens):
-            return img
-    return None
 
 
 def dcomp_crosscheck(p: SpacePresentation, cap: int | None = None, *,
                      model: StarModel | None = None,
                      embedding: DyadEmbedding | None = None) -> CrosscheckReport:
-    """Compare the T0-reflected model against the canonical dyad image; a
-    caller that has the model or the canonical embedding passes it in."""
+    """Certify that the T0-reflected model is homeomorphic to the dyad image;
+    a caller that has the model or the canonical embedding passes it in.
+
+    Each T0 class goes to the value vector of its atoms under the
+    embedding's family.  The report is homeomorphic, with that map as
+    `iso`, iff the map is well defined, a bijection onto `image_vectors`,
+    and sends the quotient's opens onto the image's: O(|opens| * n).
+
+    For the canonical family all three hold.  A monad is the intersection
+    of the subbase sets around its atom.  So atoms with one vector share
+    a monad, and atoms a, b with one monad lie in each other's subbase
+    sets, so share a vector.  The map is thus well defined and injective,
+    and onto because the image vectors are the atom vectors.  The images
+    of the subbase sets generate the quotient's opens (the model's opens
+    are saturated), and the image of set i goes onto the cylinder
+    {v : bit i of v is 0}; those cylinders generate the image's opens.
+    """
     from .reflect import t0_reflection  # loads numpy, which dcomp_embed never needs
     m = model if model is not None else build_star(p, cap)
     emb = embedding if embedding is not None else dcomp_embed(p, dyad_family_of(p), m)
     q = t0_reflection(m.space)
-    iso = iso_check(q.target, emb.image)
-    found = tuple(iso) if iso is not None else _embedding_search(q.target, emb.image)
-    return CrosscheckReport(
-        target=q.target,
-        image=emb.image,
-        embeds=found is not None,
-        embedding=found,
-        homeomorphic=iso is not None,
-        iso=iso,
-    )
+    pairs = set(zip(q.assign, _atom_signatures(m, emb.family)))
+    vector_of = dict(pairs)
+    # one vector per class, and each image vector from exactly one class
+    homeomorphic = (len(pairs) == len(vector_of)
+                    and sorted(vector_of.values()) == list(emb.image_vectors))
+    iso = None
+    if homeomorphic:
+        index = {v: j for j, v in enumerate(emb.image_vectors)}
+        iso = tuple(index[vector_of[c]] for c in range(q.target.n))
+        mapped = {sum(1 << iso[c] for c in range(q.target.n) if (o >> c) & 1)
+                  for o in q.target.opens}
+        homeomorphic = mapped == set(emb.image.opens)
+    return CrosscheckReport(q.target, emb.image, homeomorphic, iso if homeomorphic else None)

@@ -100,13 +100,3 @@ class NoRetraction(TopolabError):
         self.atom = atom
         msg = f"atom {atom} adheres to no sample"
         super().__init__(msg + (f": {detail}" if detail else ""))
-
-
-class AmbiguousRetraction(TopolabError):
-    """Some atom adheres to samples from more than one monad class."""
-
-    def __init__(self, atom: int, classes: tuple[frozenset[int], ...]):
-        self.atom = atom
-        self.classes = classes
-        shown = ", ".join(sorted(str(set(sorted(c))) for c in classes))
-        super().__init__(f"atom {atom} has candidates in {len(classes)} monad classes: {shown}")

@@ -399,22 +399,28 @@ def enumerate_topologies(n: int) -> Iterator[FinSpace]:
         yield FinSpace(n, tuple(s for s in range(1 << n) if (code >> s) & 1))
 
 
+def _classes_by_key(keys: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """The points grouped by equal key, classes in order of first member,
+    and the class index of each point."""
+    classes: list[list[int]] = []
+    index: dict[int, int] = {}
+    assign = []
+    for x, key in enumerate(keys):
+        if key not in index:
+            index[key] = len(classes)
+            classes.append([])
+        classes[index[key]].append(x)
+        assign.append(index[key])
+    return classes, assign
+
+
 def hasse_dot(order: SpecOrder, labels: Sequence[str] | None = None) -> str:
     """DOT rendering of the Hasse diagram of the T0 quotient of the preorder.
 
     Nodes are the monad-equality classes in order of first member; an edge
     runs upward for each covering pair.  Output is deterministic.
     """
-    classes: list[list[int]] = []
-    index: dict[int, int] = {}
-    cls_of = [0] * order.n
-    for x in range(order.n):
-        key = order.leq[x]
-        if key not in index:
-            index[key] = len(classes)
-            classes.append([])
-        cls_of[x] = index[key]
-        classes[index[key]].append(x)
+    classes, _ = _classes_by_key(order.leq)
 
     def below(c: int, d: int) -> bool:
         return c != d and order.holds(classes[c][0], classes[d][0])

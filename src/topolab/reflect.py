@@ -7,32 +7,23 @@ star model these give the fragment versions of the two
 compactifications: the T2 reflection of the model and the T0 reflection
 of the model.
 
-The retraction sends each atom to the class of samples whose closure
-matches the adherence of the atom's ultrafilter trace; it can fail, and
-the failure kind (no candidate, or candidates from several monad
-classes) is part of the result contract.
+The adherence of an atom is read off the monads: the samples whose monad
+holds it.  The retraction sends each atom to the samples whose closure
+matches its adherence; it fails, with the atom as witness, when no
+sample closure does.  Those samples always share one monad.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
-from .errors import AmbiguousRetraction, NoRetraction
-from .fintop import FinSpace, enumerate_topologies, monad, specialization
-from .star import (
-    SpacePresentation,
-    StarModel,
-    UltrafilterTrace,
-    build_star,
-    model_monad,
-    sample_space,
-    ultrafilter_trace,
-)
+from .errors import NoRetraction
+from .fintop import FinSpace, _classes_by_key, enumerate_topologies, monad, specialization
+from .star import SpacePresentation, StarModel, build_star, model_monad, sample_space
 
 
 @dataclass(frozen=True)
@@ -71,19 +62,6 @@ class QuotientMap:
     @property
     def is_identity(self) -> bool:
         return self.assign == tuple(range(self.source.n))
-
-
-def _classes_by_key(keys: Sequence[int]) -> tuple[list[list[int]], list[int]]:
-    classes: list[list[int]] = []
-    index: dict[int, int] = {}
-    assign = []
-    for x, key in enumerate(keys):
-        if key not in index:
-            index[key] = len(classes)
-            classes.append([])
-        classes[index[key]].append(x)
-        assign.append(index[key])
-    return classes, assign
 
 
 def t0_reflection(s: FinSpace) -> QuotientMap:
@@ -136,24 +114,18 @@ def beta2_fragment(p: SpacePresentation, cap: int | None = None) -> tuple[StarMo
     return m, t0_reflection(m.space)
 
 
-def adherence(m: StarModel, trace: UltrafilterTrace) -> frozenset[int]:
-    """Samples whose every fragment-open neighbourhood meets every trace member.
+def adherence(m: StarModel, atom: int) -> frozenset[int]:
+    """Samples adherent to the ultrafilter trace of an atom: every
+    fragment-open neighbourhood of the sample meets every algebra member
+    holding the atom.
 
-    Neighbourhoods and members are both atom masks, so "meets" is a mask
-    intersection; atoms are nonempty, making this exact over the ground."""
-    out = []
-    for pos, s in enumerate(m.presentation.samples):
-        a = m.embedding[pos]
-        ok = True
-        for g in m.space.opens:
-            if not (g >> a) & 1:
-                continue
-            if any(g & member == 0 for member in trace.sets):
-                ok = False
-                break
-        if ok:
-            out.append(s)
-    return frozenset(out)
+    The atom's singleton is such a member, and a neighbourhood that meets
+    it meets them all, so these are the samples whose monad holds the atom.
+    """
+    if not 0 <= atom < len(m.atoms):
+        raise ValueError(f"atom {atom} outside the model")
+    return frozenset(s for s, a in zip(m.presentation.samples, m.embedding)
+                     if (model_monad(m, a) >> atom) & 1)
 
 
 @dataclass(frozen=True)
@@ -171,49 +143,29 @@ class RetractionMap:
                 raise ValueError("retraction must fix the standard part")
 
 
-def _sample_closures(m: StarModel) -> dict[int, frozenset[int]]:
-    """cl{x} ∩ samples for each sample x, computed inside the model: y is in
-    cl{x} iff the atom of x lies in every open around the atom of y."""
-    out = {}
-    for pos, x in enumerate(m.presentation.samples):
-        ax = m.embedding[pos]
-        members = []
-        for qos, y in enumerate(m.presentation.samples):
-            ay = m.embedding[qos]
-            if (model_monad(m, ay) >> ax) & 1:
-                members.append(y)
-        out[x] = frozenset(members)
-    return out
-
-
 def retraction(m: StarModel) -> RetractionMap:
     """Standard-part map on atoms.
 
-    For each atom take the adherence of its ultrafilter trace and collect
-    the samples x with cl{x} ∩ samples equal to it.  Any two such samples
-    share a monad (each lies in the other's sample closure), so the class
-    is monad-unique whenever it is nonempty; the ambiguity branch is kept
-    to honour the result contract.
+    Each atom goes to the samples x whose sample closure cl{x} ∩ samples
+    equals the atom's adherence, and NoRetraction names the first atom
+    with none.  cl{x} ∩ samples is adherence(m, atom of x), since y lies
+    in cl{x} iff the atom of x lies in the monad of the atom of y.
+
+    The samples sent to one atom share a monad.  If x and y have equal
+    sample closures, x lies in cl{y} and y in cl{x}.  In a finite space
+    x in cl{y} means y in monad(x), so monad(y) ⊆ monad(x), and the
+    other way round gives equality.
     """
     samples = m.presentation.samples
-    closures = _sample_closures(m)
-    monads = {x: model_monad(m, m.atom_of_sample(x)) for x in samples}
+    by_closure: dict[frozenset[int], list[int]] = {}
+    for x, a in zip(samples, m.embedding):
+        by_closure.setdefault(adherence(m, a), []).append(x)
     assign: list[frozenset[int]] = []
     for i in range(len(m.atoms)):
-        adh = adherence(m, ultrafilter_trace(m, i))
-        cands = [x for x in samples if closures[x] == adh]
-        if not cands:
+        adh = adherence(m, i)
+        if adh not in by_closure:
             raise NoRetraction(i, f"adherence {sorted(adh)} matches no sample closure")
-        groups: list[frozenset[int]] = []
-        for x in cands:
-            for g in groups:
-                if monads[x] == monads[next(iter(g))]:
-                    break
-            else:
-                groups.append(frozenset(y for y in cands if monads[y] == monads[x]))
-        if len(groups) > 1:
-            raise AmbiguousRetraction(i, tuple(groups))
-        assign.append(groups[0])
+        assign.append(frozenset(by_closure[adh]))
 
     # continuity into the T0 quotient of the sample subspace
     q = t0_reflection(sample_space(m))

@@ -323,23 +323,6 @@ def embedding_is_homeomorphic(m: StarModel) -> bool:
     return set(sample_space(m).opens) == transferred
 
 
-@dataclass(frozen=True)
-class UltrafilterTrace:
-    """The algebra members above one atom, each recorded as an atom mask."""
-
-    atom: int
-    sets: tuple[int, ...]
-
-
-def ultrafilter_trace(m: StarModel, atom: int) -> UltrafilterTrace:
-    n = len(m.atoms)
-    if not 0 <= atom < n:
-        raise ValueError(f"atom {atom} outside the model")
-    bit = 1 << atom
-    sets = tuple(mask for mask in range(1 << n) if mask & bit)
-    return UltrafilterTrace(atom, sets)
-
-
 # -- definable maps ---------------------------------------------------
 
 Rule = tuple[str, int]

@@ -5,14 +5,16 @@ open family, the quantifiers of regularity, complete regularity and
 normality over every open and closed set, every Boolean identity of the
 star map over every pair of sets, local compactness by a search over
 subsets and covers, and continuity and factoring by a search over every
-point map.  The slower forms of three fast paths stay here too: the
+point map.  The slower forms of four fast paths stay here too: the
 scan of every code word for topology enumeration, the weak-reflection
-sweep over every labeled target, and the scan of every dyad vector.
+sweep over every labeled target, the scan of every dyad vector, and
+adherence tested against every member of an ultrafilter trace.
 They are quadratic or worse in the number of opens (the searches are
 exponential) and run only in the tests, where they are compared with
 the monad-based code in `topolab.fintop`, the linear certificate in
-`topolab.star`, the kernels in `topolab._kernels`, the orbit sweep in
-`topolab.reflect` and the signature image in `topolab.dcomp`.
+`topolab.star`, the kernels in `topolab._kernels`, the orbit sweep and
+the monad adherence in `topolab.reflect` and the signature image in
+`topolab.dcomp`.
 """
 import itertools
 from typing import Sequence
@@ -300,3 +302,22 @@ def dyad_vectors_by_scan(m, fam):
             realized.append(v)
     closure = [w for w in range(1 << k) if any(v & ~w == 0 for v in realized)]
     return tuple(realized), tuple(closure)
+
+
+def ultrafilter_trace(m, atom):
+    """The algebra members above one atom, each as an atom mask."""
+    n = len(m.atoms)
+    if not 0 <= atom < n:
+        raise ValueError(f"atom {atom} outside the model")
+    return tuple(mask for mask in range(1 << n) if (mask >> atom) & 1)
+
+
+def adherence_by_trace(m, atom):
+    """Samples whose every fragment-open neighbourhood meets every member of
+    the atom's ultrafilter trace, tested member by member."""
+    trace = ultrafilter_trace(m, atom)
+    out = []
+    for s, a in zip(m.presentation.samples, m.embedding):
+        if all(g & member for g in m.space.opens if (g >> a) & 1 for member in trace):
+            out.append(s)
+    return frozenset(out)

@@ -4,8 +4,6 @@ Each test prints a single pass/fail verdict line (past pytest's capture)
 so a plain `pytest tests/test_acceptance.py` run shows the scorecard.
 All comparisons are exact; nothing here is tolerance-based.
 """
-import pytest
-
 import oracles
 from topolab.corpus import (
     chain_fragment,
@@ -14,7 +12,6 @@ from topolab.corpus import (
     corpus_presentations,
     discrete_fragment,
     pointed_chain_fragment,
-    presentation_of_space,
 )
 from topolab.dcomp import dcomp_crosscheck
 from topolab.errors import NoRetraction
@@ -32,15 +29,6 @@ from topolab.star import (
     star_map,
     DefMap,
 )
-
-
-@pytest.fixture(scope="module")
-def enum_models(enumerations):
-    out = []
-    for n in range(5):
-        for s in enumerations[n]:
-            out.append((f"enum{n}", build_star(presentation_of_space(s)), s))
-    return out
 
 
 def _verdict(capsys, num, name, failures):

@@ -170,6 +170,19 @@ def test_exit_two_on_wide_dyad_closure(capsys):
     assert "outside [0, 16]" in err and "dyad closure" in err
 
 
+def test_dcomp_certifies_past_the_iso_cap_where_beta2_refuses(tmp_path, capsys):
+    # ten singletons open and an eleventh sample point: a T0 model with 11
+    # classes, one more than the homeomorphism search takes
+    path = tmp_path / "iso_points.top"
+    path.write_text("ground finite 11\n" + "".join(f"set P{p} = {{{p}}}\n" for p in range(10))
+                    + "subbase " + " ".join(f"P{p}" for p in range(10)) + "\nsamples 10\n")
+    assert main(["dcomp", str(path), "--format", "structured"]) == 0
+    items = {i["name"]: i["detail"] for i in json.loads(capsys.readouterr().out)["items"]}
+    assert items["beta2-embeds-in-image"] == items["beta2-homeomorphic-to-image"] == "yes"
+    assert main(["beta2", str(path), "--format", "structured"]) == 2
+    assert "iso_check capped at 10 points" in capsys.readouterr().err
+
+
 def test_exit_two_when_generators_split_past_the_point_cap(tmp_path, capsys):
     # set Gi is bit i of m mod 4096: twelve independent generators within
     # every cap whose atoms are the 4096 residue classes

@@ -166,12 +166,44 @@ def test_eval_injective_iff_samples_monad_separated():
 ])
 def test_crosscheck_embeds_and_matches(p):
     rep = dcomp_crosscheck(p)
-    assert rep.embeds and rep.homeomorphic
+    assert rep.homeomorphic
     assert rep.iso is not None and sorted(rep.iso) == list(range(rep.target.n))
     m = build_star(p)
     emb = dcomp_embed(p, dyad_family_of(p), model=m)
     assert dcomp_crosscheck(p, model=m) == rep
     assert dcomp_crosscheck(p, model=m, embedding=emb) == rep
+
+
+def test_certificate_agrees_with_the_homeomorphism_search(named_models):
+    # on every model whose closure fits: the certificate holds iff the
+    # search finds a homeomorphism, and its map sends opens onto opens
+    checked = 0
+    for name, m in named_models:
+        p = m.presentation
+        try:
+            emb = dcomp_embed(p, dyad_family_of(p), model=m)
+        except SizeCapExceeded:
+            continue
+        rep = dcomp_crosscheck(p, model=m, embedding=emb)
+        assert rep.homeomorphic == (iso_check(rep.target, rep.image) is not None), name
+        assert rep.homeomorphic, name
+        mapped = {sum(1 << rep.iso[x] for x in range(rep.target.n) if (o >> x) & 1)
+                  for o in rep.target.opens}
+        assert mapped == set(rep.image.opens), name
+        checked += 1
+    assert checked > 390
+
+
+@pytest.mark.parametrize("p", [
+    chain_fragment(3), pointed_chain_fragment(3), partition_fragment(2),
+    sierpinski_presentation(),
+])
+def test_crosscheck_rejects_a_family_that_drops_a_subbase_set(p):
+    m = build_star(p)
+    emb = dcomp_embed(p, DyadFamily(p.subbase[:-1]), model=m)
+    rep = dcomp_crosscheck(p, model=m, embedding=emb)
+    assert not rep.homeomorphic and rep.iso is None
+    assert iso_check(rep.target, rep.image) is None
 
 
 def test_crosscheck_cap_on_wide_closure():

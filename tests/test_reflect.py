@@ -3,8 +3,13 @@ import time
 
 import pytest
 
-from oracles import continuous_point_maps, factorizations_through, labeled_sweep
-from topolab.errors import AmbiguousRetraction, NoRetraction
+from oracles import (
+    adherence_by_trace,
+    continuous_point_maps,
+    factorizations_through,
+    labeled_sweep,
+)
+from topolab.errors import NoRetraction
 from topolab.corpus import (
     chain_fragment,
     chain_space,
@@ -28,7 +33,7 @@ from topolab.reflect import (
     weak_reflection_sweep,
 )
 from topolab.setalg import OMEGA, DefSet, ds_compare
-from topolab.star import SpacePresentation, build_star, ultrafilter_trace
+from topolab.star import SpacePresentation, build_star, model_monad
 
 SIERP = FinSpace(2, (0, 1, 3))
 
@@ -131,16 +136,34 @@ def test_beta2_target_flags(corpus_models):
 def test_adherence_examples():
     ninf = build_star(pointed_chain_fragment(3))
     tail = 4
-    assert adherence(ninf, ultrafilter_trace(ninf, tail)) == {0}
+    assert adherence(ninf, tail) == {0}
 
     disc = build_star(discrete_fragment(3))
-    assert adherence(disc, ultrafilter_trace(disc, 3)) == frozenset()
+    assert adherence(disc, 3) == frozenset()
+    with pytest.raises(ValueError):
+        adherence(disc, len(disc.atoms))
+
+
+def test_adherence_matches_the_trace_definition(named_models):
+    # the monad reading against every member of the ultrafilter trace
+    for name, m in named_models:
+        for atom in range(len(m.atoms)):
+            assert adherence(m, atom) == adherence_by_trace(m, atom), (name, atom)
+
+
+def test_equal_sample_closures_mean_equal_monads(named_models):
+    # why retraction never meets candidates from two monad classes
+    for name, m in named_models:
+        for a in m.embedding:
+            for b in m.embedding:
+                if adherence(m, a) == adherence(m, b):
+                    assert model_monad(m, a) == model_monad(m, b), (name, a, b)
 
 
 def test_adherence_of_standard_atom_is_closure(corpus_models):
     for name, p, m in corpus_models:
         for pos, x in enumerate(p.samples):
-            got = adherence(m, ultrafilter_trace(m, m.embedding[pos]))
+            got = adherence(m, m.embedding[pos])
             cl = closure(m.space, 1 << m.embedding[pos])
             want = frozenset(s for qos, s in enumerate(p.samples)
                              if (cl >> m.embedding[qos]) & 1)
@@ -161,8 +184,8 @@ def test_adherence_refines_with_more_samples():
         for j, fine in enumerate(big.atoms):
             coarse = [i for i, a in enumerate(small.atoms) if ds_compare(fine, a).subset]
             assert len(coarse) == 1
-            adh_small = adherence(small, ultrafilter_trace(small, coarse[0]))
-            adh_big = adherence(big, ultrafilter_trace(big, j))
+            adh_small = adherence(small, coarse[0])
+            adh_big = adherence(big, j)
             assert adh_big & set(small_p.samples) <= adh_small
 
 
@@ -201,7 +224,7 @@ def test_retraction_consistent_with_t0_assignment(corpus_models):
     for name, p, m in corpus_models:
         try:
             r = retraction(m)
-        except (NoRetraction, AmbiguousRetraction):
+        except NoRetraction:
             continue
         q = t0_reflection(m.space)
         for i, cls in enumerate(r.assign):
