@@ -6,7 +6,6 @@ computes the T0/T2 reflections, standard-part retractions, and dyad
 compactifications at fragment scale.
 """
 from .errors import (
-    AmbiguousImage,
     AtomCapExceeded,
     FamilyTooLarge,
     GroundMismatch,

@@ -8,6 +8,7 @@ sorted keys and no timing, so identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -540,6 +541,7 @@ _HANDLERS = {
 # -- entry point --------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser as it was, so in-process calls share one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topolab",

@@ -85,14 +85,6 @@ class SampleImageNotSample(TopolabError):
         super().__init__(f"sample {sample} maps to {image}, which is not a target sample")
 
 
-class AmbiguousImage(TopolabError):
-    """No single target atom matches an atom's generator signature."""
-
-    def __init__(self, atom: int):
-        self.atom = atom
-        super().__init__(f"atom {atom} has no unique image atom")
-
-
 class NoRetraction(TopolabError):
     """Some atom adheres to no sample, so no standard part exists."""
 

@@ -13,7 +13,7 @@ kernel in _kernels builds it from the closed tuples of monads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterator, Sequence
 
 from .errors import SizeCapExceeded
@@ -35,40 +35,59 @@ class FinSpace:
 
     A finite topology is determined by its monads, the minimal open
     neighbourhoods of the points: the opens are exactly the unions of
-    monads (Alexandroff 1937).  Construction computes the monads from the
-    given family and keeps them, so every query below reads them instead
-    of scanning the opens.
+    monads (Alexandroff 1937).  Construction keeps the monads, so every
+    query below reads them instead of scanning the opens.  Give either the
+    opens, `FinSpace(n, opens)`, or the monads, `FinSpace(n, (), monads)`;
+    the library builds every derived space the second way.
     """
 
     n: int
     opens: tuple[int, ...]
+    monads: InitVar[Sequence[int] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, monads):
         if not 0 <= self.n <= MAX_POINTS:
             raise SizeCapExceeded(f"point count {self.n} outside [0, {MAX_POINTS}]")
-        fam = tuple(sorted(set(self.opens)))
-        object.__setattr__(self, "opens", fam)
-        if len(fam) > MAX_FAMILY:
-            raise SizeCapExceeded(f"{len(fam)} opens exceed the family cap {MAX_FAMILY}")
         full = self.full
-        if fam and (fam[0] < 0 or fam[-1] > full):
-            raise ValueError("open mask outside the point range")
-        if not fam or fam[0] != 0 or fam[-1] != full:
-            raise ValueError("opens must contain the empty and the full set")
-        monads = _monads_of(self.n, fam)
-        members = set(fam)
-        # With every monad open and o | monad(x) open for each open o, every
-        # union of monads is open; each open is the union of the monads of
-        # its points; and the unions of monads are closed under intersection,
-        # because y in monad(x) puts monad(y) inside monad(x).  So the family
-        # is a topology exactly when these O(|opens| * n) tests pass.
-        for x, mx in enumerate(monads):
-            if mx not in members:
-                raise ValueError(f"opens not closed under union/intersection: the "
-                                 f"monad {mx} of point {x} is not open")
-            for o in fam:
-                if (o | mx) not in members:
-                    raise ValueError(f"opens not closed under union/intersection at {o}, {mx}")
+        if monads is not None:
+            if self.opens:
+                raise ValueError("give the opens or the monads, not both")
+            monads = tuple(monads)
+            if len(monads) != self.n:
+                raise ValueError(f"{len(monads)} monads for {self.n} points")
+            # the monads of a topology are those of its specialization
+            # preorder: x in m(x), and y in m(x) puts m(y) inside m(x).  Given
+            # such sets, their unions are a topology whose monad at x is m(x).
+            for x, mx in enumerate(monads):
+                if mx < 0 or mx > full or not (mx >> x) & 1:
+                    raise ValueError(f"monad {mx} of point {x} does not hold it")
+                if any((mx >> y) & 1 and my & ~mx for y, my in enumerate(monads)):
+                    raise ValueError(f"monads not from a preorder at point {x}")
+            members = _unions(monads)
+            fam = tuple(sorted(members))
+        else:
+            fam = tuple(sorted(set(self.opens)))
+            if len(fam) > MAX_FAMILY:
+                raise SizeCapExceeded(f"{len(fam)} opens exceed the family cap {MAX_FAMILY}")
+            if fam and (fam[0] < 0 or fam[-1] > full):
+                raise ValueError("open mask outside the point range")
+            if not fam or fam[0] != 0 or fam[-1] != full:
+                raise ValueError("opens must contain the empty and the full set")
+            monads = _monads_of(self.n, fam)
+            members = set(fam)
+            # With every monad open and o | monad(x) open for each open o, every
+            # union of monads is open; each open is the union of the monads of
+            # its points; and the unions of monads are closed under intersection,
+            # because y in monad(x) puts monad(y) inside monad(x).  So the family
+            # is a topology exactly when these O(|opens| * n) tests pass.
+            for x, mx in enumerate(monads):
+                if mx not in members:
+                    raise ValueError(f"opens not closed under union/intersection: the "
+                                     f"monad {mx} of point {x} is not open")
+                for o in fam:
+                    if (o | mx) not in members:
+                        raise ValueError(f"opens not closed under union/intersection at {o}, {mx}")
+        object.__setattr__(self, "opens", fam)
         object.__setattr__(self, "_members", members)
         object.__setattr__(self, "_monads", monads)
 
@@ -133,7 +152,7 @@ def generate_topology(n: int, subbase: Sequence[int]) -> FinSpace:
     for s in subbase:
         if s < 0 or s > full:
             raise ValueError(f"subbase mask {s} does not fit width {n}")
-    return FinSpace(n, tuple(_unions(_monads_of(n, subbase))))
+    return FinSpace(n, (), _monads_of(n, subbase))
 
 
 def interior(s: FinSpace, a: int) -> int:
@@ -324,24 +343,23 @@ def property_report(s: FinSpace) -> PropertyReport:
 
 
 def subspace(s: FinSpace, mask: int) -> tuple[FinSpace, list[int]]:
-    """Subspace on the points of mask, with the point renumbering."""
+    """Subspace on the points of mask, with the point renumbering.  The
+    monad of x there is its monad in s cut down to mask."""
     pts = [x for x in range(s.n) if (mask >> x) & 1]
-    index = {x: i for i, x in enumerate(pts)}
-    opens = set()
-    for o in s.opens:
-        opens.add(sum(1 << index[x] for x in pts if (o >> x) & 1))
-    return FinSpace(len(pts), tuple(opens)), pts
+    monads = [sum(1 << i for i, y in enumerate(pts) if (s._monads[x] >> y) & 1) for x in pts]
+    return FinSpace(len(pts), (), monads), pts
 
 
 def iso_check(a: FinSpace, b: FinSpace) -> tuple[int, ...] | None:
     """Search for a homeomorphism, returned as the image tuple of 0..n-1.
 
-    Backtracks over assignments compatible with the (monad size, closure
-    size) invariants and the partial specialization order, then verifies
-    the full open family transfers.  Sound and complete up to the cap.
+    Compares the invariants first: point count, open count, open sizes and
+    the (monad size, closure size) key of each point.  A homeomorphism
+    keeps every key, so when the keys are pairwise distinct the only
+    candidate is the map that matches them, verified in O(|opens| * n).
+    Otherwise it backtracks over key-compatible assignments that respect
+    the partial specialization order, and refuses past MAX_ISO_POINTS.
     """
-    if a.n > MAX_ISO_POINTS or b.n > MAX_ISO_POINTS:
-        raise SizeCapExceeded(f"iso_check capped at {MAX_ISO_POINTS} points")
     if a.n != b.n or len(a.opens) != len(b.opens):
         return None
     if sorted(o.bit_count() for o in a.opens) != sorted(o.bit_count() for o in b.opens):
@@ -354,15 +372,25 @@ def iso_check(a: FinSpace, b: FinSpace) -> tuple[int, ...] | None:
     key_b = [(lb[y].bit_count(), cb[y].bit_count()) for y in range(b.n)]
     if sorted(key_a) != sorted(key_b):
         return None
+
+    def transfers(image: Sequence[int]) -> bool:
+        mapped = {sum(1 << image[x] for x in range(a.n) if (o >> x) & 1) for o in a.opens}
+        return mapped == set(b.opens)
+
+    if len(set(key_a)) == a.n:
+        where = {key: y for y, key in enumerate(key_b)}
+        forced = tuple(where[key] for key in key_a)
+        return forced if transfers(forced) else None
+    if a.n > MAX_ISO_POINTS:
+        raise SizeCapExceeded(f"iso_check capped at {MAX_ISO_POINTS} points "
+                              "when two points share a key")
     order = sorted(range(a.n), key=lambda x: key_a[x])
     image = [-1] * a.n
     used = [False] * b.n
 
     def extend(i: int) -> bool:
         if i == a.n:
-            mapped = {sum(1 << image[x] for x in range(a.n) if (o >> x) & 1)
-                      for o in a.opens}
-            return mapped == set(b.opens)
+            return transfers(image)
         x = order[i]
         for y in range(b.n):
             if used[y] or key_a[x] != key_b[y]:

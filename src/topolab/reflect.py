@@ -28,7 +28,18 @@ from .star import SpacePresentation, StarModel, build_star, model_monad, sample_
 
 @dataclass(frozen=True)
 class QuotientMap:
-    """Surjective continuous point map whose target carries the final topology."""
+    """Surjective continuous point map whose target carries the final topology.
+
+    The check runs on monads.  U is final-open iff q⁻¹(U) is open.  As q is
+    onto, U ↦ q⁻¹(U) is a bijection onto the saturated source sets (unions
+    of classes), so the final opens are the images of the saturated source
+    opens.  These are closed under intersection, so the class A = q⁻¹(c)
+    has a least one above it, whose image is the final monad at c.  The
+    sets A ⊆ sat(⋃ monads of A) ⊆ ... stay inside every saturated open
+    above A, and their fixpoint is saturated and a union of monads, hence
+    open: it is that least one, reached within n steps.  Topologies on the
+    same points are equal iff their monads are.
+    """
 
     source: FinSpace
     target: FinSpace
@@ -40,9 +51,18 @@ class QuotientMap:
             raise ValueError("assign must cover every source point")
         if set(self.assign) != set(range(self.target.n)):
             raise ValueError("assign must be onto the target points")
-        final = {o for o in range(1 << self.target.n)
-                 if self.source.is_open(self.preimage(o))}
-        if final != set(self.target.opens):
+        monads = self.source._monads
+        final = []
+        for c in range(self.target.n):
+            held, grown = -1, self.preimage(1 << c)
+            while grown != held:
+                held, hull = grown, 0
+                for x, m in enumerate(monads):
+                    if (held >> x) & 1:
+                        hull |= m
+                grown = self.preimage(self.image(hull))
+            final.append(self.image(held))
+        if tuple(final) != self.target._monads:
             raise ValueError("target does not carry the final topology")
 
     def preimage(self, target_mask: int) -> int:
@@ -65,17 +85,12 @@ class QuotientMap:
 
 
 def t0_reflection(s: FinSpace) -> QuotientMap:
-    """Quotient by monad equality.  Opens are unions of monads, hence saturated,
-    so the final topology is just the image family."""
-    classes, assign = _classes_by_key([monad(s, x) for x in range(s.n)])
-    opens = set()
-    for o in s.opens:
-        img = 0
-        for x in range(s.n):
-            if (o >> x) & 1:
-                img |= 1 << assign[x]
-        opens.add(img)
-    return QuotientMap(s, FinSpace(len(classes), tuple(opens)), tuple(assign))
+    """Quotient by monad equality.  Opens are unions of monads, hence
+    saturated, so the monad of a class is the image of its members' monad."""
+    classes, assign = _classes_by_key(s._monads)
+    monads = [sum(1 << c for c in {assign[x] for x in range(s.n) if (s._monads[xs[0]] >> x) & 1})
+              for xs in classes]
+    return QuotientMap(s, FinSpace(len(classes), (), monads), tuple(assign))
 
 
 def t2_reflection(s: FinSpace) -> QuotientMap:
@@ -96,7 +111,7 @@ def t2_reflection(s: FinSpace) -> QuotientMap:
                 parent[find(x)] = find(y)
     classes, assign = _classes_by_key([find(x) for x in range(s.n)])
     k = len(classes)
-    return QuotientMap(s, FinSpace(k, tuple(range(1 << k))), tuple(assign))
+    return QuotientMap(s, FinSpace(k, (), [1 << c for c in range(k)]), tuple(assign))
 
 
 def beta_fragment(p: SpacePresentation, cap: int | None = None) -> tuple[StarModel, QuotientMap]:

@@ -20,7 +20,6 @@ from typing import Sequence
 
 from . import fintop
 from .errors import (
-    AmbiguousImage,
     AtomCapExceeded,
     GroundMismatch,
     NotInAlgebra,
@@ -484,6 +483,13 @@ def star_map(f: DefMap, src: SpacePresentation, dst: SpacePresentation,
     with the same membership signature across the target generators'
     preimages.  Verifies sample preservation and that every preimage stays
     inside the source algebra; reports continuity of the induced map.
+
+    The signature lookup cannot fail.  Take a point p of source atom i.
+    Each generator's preimage is a union of source atoms (otherwise
+    PreimageNotInAlgebra is raised), so f(p) lies in generator j exactly
+    when bit j of atom i's signature is set.  The target atoms are the
+    nonempty cells of the generators, and f(p) lies in the target ground,
+    so the target atom holding f(p) has that signature.
     """
     if f.ground != src.ground:
         raise GroundMismatch(f"map over {f.ground!r}, source over {src.ground!r}")
@@ -509,12 +515,8 @@ def star_map(f: DefMap, src: SpacePresentation, dst: SpacePresentation,
     for b in range(len(dm.atoms)):
         sig = tuple(bool((mask >> b) & 1) for mask in gen_masks)
         dst_signature[sig] = b
-    atom_map = []
-    for i in range(len(sm.atoms)):
-        sig = tuple(bool((mask >> i) & 1) for mask in pre_masks)
-        if sig not in dst_signature:
-            raise AmbiguousImage(i)
-        atom_map.append(dst_signature[sig])
+    atom_map = [dst_signature[tuple(bool((mask >> i) & 1) for mask in pre_masks)]
+                for i in range(len(sm.atoms))]
     continuous = all(
         sm.space.is_open(sum(1 << i for i, j in enumerate(atom_map) if (o >> j) & 1))
         for o in dm.space.opens)

@@ -1,20 +1,23 @@
 """Definitional checkers that pin the fast paths of topolab.
 
 Each function transcribes a definition outright: pairwise closure of an
-open family, the quantifiers of regularity, complete regularity and
-normality over every open and closed set, every Boolean identity of the
-star map over every pair of sets, local compactness by a search over
-subsets and covers, and continuity and factoring by a search over every
-point map.  The slower forms of four fast paths stay here too: the
-scan of every code word for topology enumeration, the weak-reflection
-sweep over every labeled target, the scan of every dyad vector, and
-adherence tested against every member of an ultrafilter trace.
-They are quadratic or worse in the number of opens (the searches are
-exponential) and run only in the tests, where they are compared with
-the monad-based code in `topolab.fintop`, the linear certificate in
-`topolab.star`, the kernels in `topolab._kernels`, the orbit sweep and
-the monad adherence in `topolab.reflect` and the signature image in
-`topolab.dcomp`.
+open family, monads as intersections of opens, the quantifiers of
+regularity, complete regularity and normality over every open and
+closed set, every Boolean identity of the star map over every pair of
+sets, local compactness by a search over subsets and covers, and
+continuity and factoring by a search over every point map.  The slower
+forms of six fast paths stay here too: the scan of every code word for
+topology enumeration, the weak-reflection sweep over every labeled
+target, the scan of every dyad vector, adherence tested against every
+member of an ultrafilter trace, the homeomorphism search over every
+permutation of the points, and the final topology of a quotient by a
+scan of every target subset.  They are quadratic or worse in the number
+of opens (the searches are exponential) and run only in the tests,
+where they are compared with the monad-based code in `topolab.fintop`,
+the linear certificate in `topolab.star`, the kernels in
+`topolab._kernels`, the orbit sweep, the monad adherence and the
+final-topology check on monads in `topolab.reflect`, and the signature
+image in `topolab.dcomp`.
 """
 import itertools
 from typing import Sequence
@@ -53,6 +56,18 @@ def generate_by_closure(n, subbase):
                         fam.add(close(a, b))
                         grew = True
     return tuple(sorted(fam))
+
+
+def monads_by_opens(s):
+    """The intersection of the opens around each point."""
+    out = []
+    for x in range(s.n):
+        m = s.full
+        for o in s.opens:
+            if (o >> x) & 1:
+                m &= o
+        out.append(m)
+    return tuple(out)
 
 
 def interior_by_opens(opens, a):
@@ -177,6 +192,27 @@ def locally_compact_literal(s: FinSpace) -> bool:
             if not found:
                 return False
     return True
+
+
+def relabelings(s: FinSpace) -> dict[frozenset[int], tuple[int, ...]]:
+    """The homeomorphism search by every permutation of the points: each
+    open family that some permutation carries the opens of s onto, with the
+    first such permutation in lexicographic order."""
+    out = {}
+    for perm in itertools.permutations(range(s.n)):
+        mapped = frozenset(sum(1 << perm[x] for x in range(s.n) if (o >> x) & 1)
+                           for o in s.opens)
+        out.setdefault(mapped, perm)
+    return out
+
+
+def final_topology_by_scan(source: FinSpace, assign: Sequence[int]) -> set[int]:
+    """The final topology of the point map `assign` onto 0..k-1: every
+    subset of the k target points whose preimage is open in the source,
+    testing all 2**k subsets."""
+    k = max(assign, default=-1) + 1
+    return {u for u in range(1 << k)
+            if source.is_open(sum(1 << x for x, c in enumerate(assign) if (u >> c) & 1))}
 
 
 def continuous_point_maps(a: FinSpace, b: FinSpace) -> list[tuple[int, ...]]:

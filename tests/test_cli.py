@@ -170,7 +170,7 @@ def test_exit_two_on_wide_dyad_closure(capsys):
     assert "outside [0, 16]" in err and "dyad closure" in err
 
 
-def test_dcomp_certifies_past_the_iso_cap_where_beta2_refuses(tmp_path, capsys):
+def test_dcomp_and_beta2_answer_past_the_iso_cap(tmp_path, capsys):
     # ten singletons open and an eleventh sample point: a T0 model with 11
     # classes, one more than the homeomorphism search takes
     path = tmp_path / "iso_points.top"
@@ -179,8 +179,18 @@ def test_dcomp_certifies_past_the_iso_cap_where_beta2_refuses(tmp_path, capsys):
     assert main(["dcomp", str(path), "--format", "structured"]) == 0
     items = {i["name"]: i["detail"] for i in json.loads(capsys.readouterr().out)["items"]}
     assert items["beta2-embeds-in-image"] == items["beta2-homeomorphic-to-image"] == "yes"
-    assert main(["beta2", str(path), "--format", "structured"]) == 2
-    assert "iso_check capped at 10 points" in capsys.readouterr().err
+    # the chain's points have pairwise distinct keys, so beta2 never searches
+    assert main(["beta2", str(path), "--format", "structured"]) == 0
+    items = {i["name"]: i["detail"] for i in json.loads(capsys.readouterr().out)["items"]}
+    assert items["target-iso-upper-chain"] == "no"
+    chain = tmp_path / "chain11.top"
+    chain.write_text("ground finite 11\n" + "".join(
+        f"set G{i} = {{{','.join(map(str, range(i + 1)))}}}\n" for i in range(10))
+        + "subbase " + " ".join(f"G{i}" for i in range(10)) + "\nsamples 10\n")
+    assert main(["beta2", str(chain), "--format", "structured"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    items = {i["name"]: i["detail"] for i in out["items"]}
+    assert out["summary"]["classes"] == 11 and items["target-iso-upper-chain"] == "yes"
 
 
 def test_exit_two_when_generators_split_past_the_point_cap(tmp_path, capsys):
@@ -214,6 +224,22 @@ def test_exit_two_on_bad_usage():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+def test_shared_parser_gives_the_same_answers(capsys):
+    # the parser is built once per process; a usage error must leave it as
+    # it was for the next call
+    assert topolab.cli._build_parser() is topolab.cli._build_parser()
+    argv = ["reflect", str(PRES / "upper_n.top"), "--kind", "t2", "--format", "structured"]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        main(["reflect", str(PRES / "upper_n.top"), "--kind", "t9"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    second = capsys.readouterr()
+    assert (first.out, first.err) == (second.out, second.err)
 
 
 def test_reflect_kinds(capsys):

@@ -11,6 +11,8 @@ import random
 import pytest
 
 import oracles
+from topolab import fintop
+from topolab.corpus import chain_space
 from topolab.errors import SizeCapExceeded
 from topolab.fintop import (
     FinSpace,
@@ -25,6 +27,7 @@ from topolab.fintop import (
     specialization,
     subspace,
 )
+from topolab.reflect import t0_reflection
 
 SIERP = FinSpace(2, (0, 1, 3))
 DISCRETE2 = FinSpace(2, (0, 1, 2, 3))
@@ -44,6 +47,41 @@ def test_finspace_validation():
     with pytest.raises(SizeCapExceeded):
         FinSpace(17, (0, (1 << 17) - 1))
     assert FinSpace(2, (3, 0, 3, 1)).opens == (0, 1, 3)  # dedup + sort
+
+
+def test_finspace_from_monads_matches_finspace_from_opens(enumerations):
+    for n in range(5):
+        for s in enumerations[n]:
+            t = FinSpace(n, (), oracles.monads_by_opens(s))
+            assert t.opens == s.opens and t._monads == s._monads
+
+
+def test_finspace_accepts_exactly_the_monads_of_a_topology(enumerations):
+    for n in range(4):
+        monad_tuples = {oracles.monads_by_opens(s) for s in enumerations[n]}
+        for monads in itertools.product(range(1 << n), repeat=n):
+            if monads in monad_tuples:
+                assert FinSpace(n, (), monads)._monads == monads
+            else:
+                with pytest.raises(ValueError):
+                    FinSpace(n, (), monads)
+
+
+def test_finspace_from_monads_refusals(monkeypatch):
+    with pytest.raises(ValueError, match="does not hold it"):
+        FinSpace(2, (), (0b10, 0b11))           # 0 outside its own monad
+    with pytest.raises(ValueError, match="preorder"):
+        FinSpace(3, (), (0b011, 0b110, 0b100))  # 1 in m(0), but m(1) not in m(0)
+    with pytest.raises(ValueError, match="does not hold it"):
+        FinSpace(2, (), (0b101, 0b10))          # mask out of range
+    with pytest.raises(ValueError, match="monads for"):
+        FinSpace(2, (), (0b01,))
+    with pytest.raises(ValueError, match="not both"):
+        FinSpace(2, (0, 1, 3), (0b01, 0b11))
+    monkeypatch.setattr(fintop, "MAX_FAMILY", 1 << 10)
+    FinSpace(10, (), [1 << x for x in range(10)])
+    with pytest.raises(SizeCapExceeded):
+        FinSpace(11, (), [1 << x for x in range(11)])
 
 
 def test_generate_topology_examples():
@@ -325,17 +363,6 @@ def test_enumeration_order_and_cap(enumerations):
 
 # -- homeomorphism search ----------------------------------------------------
 
-def brute_iso(a, b):
-    if a.n != b.n:
-        return None
-    for perm in itertools.permutations(range(b.n)):
-        mapped = {sum(1 << perm[x] for x in range(a.n) if (o >> x) & 1)
-                  for o in a.opens}
-        if mapped == set(b.opens):
-            return perm
-    return None
-
-
 def test_iso_examples():
     relabeled = FinSpace(2, (0, 2, 3))
     got = iso_check(SIERP, relabeled)
@@ -345,22 +372,43 @@ def test_iso_examples():
 
 
 def test_iso_cap():
+    # the cap binds only on a search: here every point has the same key
     big = FinSpace(11, (0, (1 << 11) - 1))
     with pytest.raises(SizeCapExceeded):
         iso_check(big, big)
+    # keys pairwise distinct: the forced map is checked at any size
+    chain16 = chain_space(16)
+    reversed_chain = FinSpace(16, (), [((1 << 16) - 1) ^ ((1 << x) - 1) for x in range(16)])
+    assert iso_check(chain16, reversed_chain) == tuple(range(15, -1, -1))
+    # equal invariants and pairwise distinct keys, yet the forced map fails
+    a = FinSpace(6, (), (49, 62, 44, 40, 16, 32))
+    b = FinSpace(6, (), (49, 62, 44, 8, 48, 32))
+    assert iso_check(a, b) is None and frozenset(b.opens) not in oracles.relabelings(a)
+    # invariants that differ answer before any cap
+    assert iso_check(big, FinSpace(11, (), [1 << x for x in range(11)])) is None
 
 
-def test_iso_agrees_with_permutation_search(enumerations):
-    spaces = enumerations[3]
-    for a in spaces:
+def _assert_iso_matches_oracle(spaces):
+    orbits = [oracles.relabelings(s) for s in spaces]
+    for a, orbit in zip(spaces, orbits):
         for b in spaces:
             got = iso_check(a, b)
-            want = brute_iso(a, b)
-            assert (got is None) == (want is None)
+            assert (got is None) == (a.n != b.n or frozenset(b.opens) not in orbit)
             if got is not None:
                 mapped = {sum(1 << got[x] for x in range(a.n) if (o >> x) & 1)
                           for o in a.opens}
                 assert mapped == set(b.opens)
+
+
+def test_iso_agrees_with_permutation_search(enumerations):
+    for n in range(5):
+        _assert_iso_matches_oracle(enumerations[n])
+
+
+def test_iso_agrees_with_permutation_search_on_the_corpus(corpus_models):
+    models = [m.space for _, _, m in corpus_models]
+    _assert_iso_matches_oracle(models + [t0_reflection(s).target for s in models]
+                               + [chain_space(n) for n in sorted({s.n for s in models})])
 
 
 # -- DOT export ----------------------------------------------------------------

@@ -7,6 +7,8 @@ from oracles import (
     adherence_by_trace,
     continuous_point_maps,
     factorizations_through,
+    final_topology_by_scan,
+    is_topology,
     labeled_sweep,
 )
 from topolab.errors import NoRetraction
@@ -50,6 +52,51 @@ def test_quotient_validation():
         QuotientMap(SIERP, FinSpace(2, (0, 1, 2, 3)), (0, 1))
     q = QuotientMap(SIERP, SIERP, (0, 1))
     assert q.is_identity and q.preimage(0b01) == 0b01 and q.image(0b10) == 0b10
+
+
+def _partitions(n):
+    """Every map of 0..n-1 onto some 0..k-1 that numbers classes in order
+    of first member."""
+    out = [()]
+    for _ in range(n):
+        out = [a + (c,) for a in out for c in range(max(a, default=-1) + 2)]
+    return out
+
+
+def _quotients(enumerations, corpus_models):
+    """(source, assign) for every quotient of a space on at most 4 points
+    and for the T0 and T2 reflections of every corpus model."""
+    out = [(s, assign) for n in range(5) for s in enumerations[n] for assign in _partitions(n)]
+    for _, _, m in corpus_models:
+        out += [(m.space, reflect(m.space).assign) for reflect in (t0_reflection, t2_reflection)]
+    return out
+
+
+def test_final_topology_check_matches_the_subset_scan(enumerations, corpus_models):
+    spaces = [s for n in range(5) for s in enumerations[n]] + [m.space for _, _, m in corpus_models]
+    for s in spaces:
+        for q in (t0_reflection(s), t2_reflection(s)):
+            assert set(q.target.opens) == final_topology_by_scan(s, q.assign)
+    for source, assign in _quotients(enumerations, corpus_models):
+        final = final_topology_by_scan(source, assign)
+        q = QuotientMap(source, FinSpace(max(assign, default=-1) + 1, tuple(final)), assign)
+        assert set(q.target.opens) == final
+
+
+def test_final_topology_check_rejects_one_open_too_many_or_too_few(enumerations,
+                                                                   corpus_models):
+    rejected = 0
+    for source, assign in _quotients(enumerations, corpus_models):
+        k = max(assign, default=-1) + 1
+        final = final_topology_by_scan(source, assign)
+        for u in range(1 << k):
+            family = final ^ {u}
+            if not is_topology(k, family):
+                continue
+            with pytest.raises(ValueError, match="final topology"):
+                QuotientMap(source, FinSpace(k, tuple(family)), assign)
+            rejected += 1
+    assert rejected > 1000
 
 
 # -- reflections --------------------------------------------------------------
