@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FamilyTooLarge, GroundMismatch, SizeCapExceeded
-from .fintop import MAX_POINTS, FinSpace, generate_topology
+from .fintop import MAX_POINTS, FinSpace, generate_topology, is_homeomorphism
 # unused here, but topobench's tracer self-test checks that this binding is patched
 from .setalg import DefSet, ds_combine  # noqa: F401
 from .star import SpacePresentation, StarModel, build_star, star_of
@@ -144,7 +144,8 @@ def dcomp_crosscheck(p: SpacePresentation, cap: int | None = None, *,
     Each T0 class goes to the value vector of its atoms under the
     embedding's family.  The report is homeomorphic, with that map as
     `iso`, iff the map is well defined, a bijection onto `image_vectors`,
-    and sends the quotient's opens onto the image's: O(|opens| * n).
+    and sends each monad of the quotient onto the image's monad at the
+    image point, which makes it a homeomorphism: O(n²).
 
     For the canonical family all three hold.  A monad is the intersection
     of the subbase sets around its atom.  So atoms with one vector share
@@ -168,7 +169,5 @@ def dcomp_crosscheck(p: SpacePresentation, cap: int | None = None, *,
     if homeomorphic:
         index = {v: j for j, v in enumerate(emb.image_vectors)}
         iso = tuple(index[vector_of[c]] for c in range(q.target.n))
-        mapped = {sum(1 << iso[c] for c in range(q.target.n) if (o >> c) & 1)
-                  for o in q.target.opens}
-        homeomorphic = mapped == set(emb.image.opens)
+        homeomorphic = is_homeomorphism(q.target, emb.image, iso)
     return CrosscheckReport(q.target, emb.image, homeomorphic, iso if homeomorphic else None)

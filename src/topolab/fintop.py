@@ -214,9 +214,10 @@ class PropertyReport:
 def property_report(s: FinSpace) -> PropertyReport:
     """Evaluate every checker; witnesses are the first counterexample in
     ascending scan order, so reports are deterministic.  Regularity,
-    complete regularity and normality quantify over opens; each is reduced
-    to a test on the least open (or clopen) around a point or set, which
-    finds the same first counterexample as the definition."""
+    complete regularity and normality quantify over opens; each is decided
+    on monads, and on failure reduced to a test on the least open (or
+    clopen) around a point or set, which finds the same first
+    counterexample as the definition."""
     n, full = s.n, s.full
     monads = [monad(s, x) for x in range(n)]
     point_cl = [closure(s, 1 << x) for x in range(n)]
@@ -285,16 +286,23 @@ def property_report(s: FinSpace) -> PropertyReport:
         return True
 
     def check_normal() -> bool:
-        # disjoint closed f, h are separated iff cl(smallest open around f)
-        # misses h; some closed h fails iff some point y of that closure has
-        # cl{y} disjoint from f (then h = cl{y} fails)
+        # Disjoint closed f, h are separated iff cl(smallest open around f)
+        # misses h.  Some pair fails iff points x, y have meeting monads and
+        # cl{x} ∩ cl{y} = ∅.  If so, f = cl{x} and h = cl{y} fail, since y
+        # lies in cl(monad x).  Conversely a failing h holds a y whose monad
+        # meets the monad of some x in f, and cl{x} ⊆ f misses cl{y} ⊆ h.
+        # Only then scan for the first witness: h fails iff some y of the
+        # closure has cl{y} missing f, i.e. y outside the open around f.
+        if not any(monads[x] & monads[y] and not point_cl[x] & point_cl[y]
+                   for x in range(n) for y in range(x + 1, n)):
+            return True
         for f in closed:
             around = 0
             for x in range(n):
                 if (f >> x) & 1:
                     around |= monads[x]
             reach = closure(s, around)
-            if not any((reach >> y) & 1 and not point_cl[y] & f for y in range(n)):
+            if not reach & ~around:
                 continue
             for h in closed:
                 if not f & h and reach & h:
@@ -307,26 +315,6 @@ def property_report(s: FinSpace) -> PropertyReport:
                 return record("all_opens_closed", (o,))
         return True
 
-    def check_locally_compact() -> bool:
-        # reduced form: the minimal open neighbourhood is itself a compact
-        # neighbourhood inside every open V around x (the tests check the
-        # reduction against a literal subset search)
-        for x in range(n):
-            for v in s.opens:
-                if (v >> x) & 1 and monads[x] & ~v:
-                    return record("locally_compact", (x, v))
-        return True
-
-    def check_supercompact() -> bool:
-        # principal ultrafilter at y: adherence is cl{y}; the matching points
-        # must form one monad class ("essentially unique")
-        for y in range(n):
-            cands = [x for x in range(n) if point_cl[x] == point_cl[y]]
-            for x in cands:
-                if monads[x] != monads[cands[0]]:
-                    return record("supercompact", (y, cands[0], x))
-        return True
-
     return PropertyReport(
         t0=check_t0(),
         t1=check_t1(),
@@ -335,9 +323,11 @@ def property_report(s: FinSpace) -> PropertyReport:
         completely_regular=check_completely_regular(),
         normal=check_normal(),
         all_opens_closed=check_all_opens_closed(),
-        compact=True,  # every open cover of a finite space is its own finite subcover
-        locally_compact=check_locally_compact(),
-        supercompact=check_supercompact(),
+        # theorems for finite spaces: every open cover is its own finite
+        # subcover; monad(x) is a finite, so compact, open neighbourhood of x
+        # inside every open around x; and cl{x} = cl{y} puts y in monad(x)
+        # and x in monad(y), so points with one closure share their monad
+        compact=True, locally_compact=True, supercompact=True,
         witnesses=tuple(wit),
     )
 
@@ -350,13 +340,22 @@ def subspace(s: FinSpace, mask: int) -> tuple[FinSpace, list[int]]:
     return FinSpace(len(pts), (), monads), pts
 
 
+def is_homeomorphism(a: FinSpace, b: FinSpace, image: Sequence[int]) -> bool:
+    """Whether the bijection x ↦ image[x] of a onto b is a homeomorphism:
+    it must send each monad onto the monad of the image point.  That is
+    necessary, and enough because the opens are the unions of monads.
+    O(n²)."""
+    return all(sum(1 << image[z] for z in range(a.n) if (monad(a, x) >> z) & 1)
+               == monad(b, image[x]) for x in range(a.n))
+
+
 def iso_check(a: FinSpace, b: FinSpace) -> tuple[int, ...] | None:
     """Search for a homeomorphism, returned as the image tuple of 0..n-1.
 
     Compares the invariants first: point count, open count, open sizes and
     the (monad size, closure size) key of each point.  A homeomorphism
     keeps every key, so when the keys are pairwise distinct the only
-    candidate is the map that matches them, verified in O(|opens| * n).
+    candidate is the map that matches them, verified on monads in O(n²).
     Otherwise it backtracks over key-compatible assignments that respect
     the partial specialization order, and refuses past MAX_ISO_POINTS.
     """
@@ -373,14 +372,10 @@ def iso_check(a: FinSpace, b: FinSpace) -> tuple[int, ...] | None:
     if sorted(key_a) != sorted(key_b):
         return None
 
-    def transfers(image: Sequence[int]) -> bool:
-        mapped = {sum(1 << image[x] for x in range(a.n) if (o >> x) & 1) for o in a.opens}
-        return mapped == set(b.opens)
-
     if len(set(key_a)) == a.n:
         where = {key: y for y, key in enumerate(key_b)}
         forced = tuple(where[key] for key in key_a)
-        return forced if transfers(forced) else None
+        return forced if is_homeomorphism(a, b, forced) else None
     if a.n > MAX_ISO_POINTS:
         raise SizeCapExceeded(f"iso_check capped at {MAX_ISO_POINTS} points "
                               "when two points share a key")
@@ -390,7 +385,7 @@ def iso_check(a: FinSpace, b: FinSpace) -> tuple[int, ...] | None:
 
     def extend(i: int) -> bool:
         if i == a.n:
-            return transfers(image)
+            return is_homeomorphism(a, b, image)
         x = order[i]
         for y in range(b.n):
             if used[y] or key_a[x] != key_b[y]:

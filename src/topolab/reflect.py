@@ -182,16 +182,14 @@ def retraction(m: StarModel) -> RetractionMap:
             raise NoRetraction(i, f"adherence {sorted(adh)} matches no sample closure")
         assign.append(frozenset(by_closure[adh]))
 
-    # continuity into the T0 quotient of the sample subspace
+    # continuity into the T0 quotient of the sample subspace: preimages keep
+    # unions and each open is a union of monads, so test the monads only
     q = t0_reflection(sample_space(m))
     cls_of_sample = {s: q.assign[j] for j, s in enumerate(samples)}
-    continuous = True
-    for o in q.target.opens:
-        pre = sum(1 << i for i in range(len(m.atoms))
-                  if (o >> cls_of_sample[next(iter(assign[i]))]) & 1)
-        if not m.space.is_open(pre):
-            continuous = False
-            break
+    cls = [cls_of_sample[next(iter(a))] for a in assign]
+    continuous = all(
+        m.space.is_open(sum(1 << i for i, c in enumerate(cls) if (md >> c) & 1))
+        for md in (monad(q.target, d) for d in range(q.target.n)))
     return RetractionMap(m, tuple(assign), continuous)
 
 

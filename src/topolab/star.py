@@ -268,22 +268,27 @@ def robinson_coverage(m: StarModel) -> CoverageReport:
 
 def sandwich_violations(m: StarModel) -> list[tuple[int, int]]:
     """Nested fragment opens G ⊆ V where star(G) ⊆ ∪{monad(η(x)) : x ∈ G∩samples}
-    ⊆ star(V) fails.  Meaningful when robinson_coverage holds; the caller gates."""
-    out = []
-    samples = m.presentation.samples
-    monads = {i: model_monad(m, i) for i in m.embedding}
-    for g in m.space.opens:
-        spread = 0
-        gset = m.union_of(g)
-        for pos, s in enumerate(samples):
-            if s in gset:
-                spread |= monads[m.embedding[pos]]
-        for v in m.space.opens:
-            if g & ~v:
-                continue
-            if g & ~spread or spread & ~v:
-                out.append((g, v))
-    return out
+    ⊆ star(V) fails.  Meaningful when robinson_coverage holds; the caller gates.
+
+    The right inclusion always holds: η(x) for a sample x in G is an atom of
+    the open G, so its monad lies in G, and G ⊆ V.  The left one does not
+    involve V.  The spread of G, that union of monads, keeps unions, and an
+    open is the union of the monads of its points, so every open lies in its
+    spread iff every monad does.  Only when a monad does not are the pairs
+    listed, in the order of the definition's scan.
+    """
+    def spread(g: int) -> int:
+        out = 0
+        for a in m.embedding:
+            if (g >> a) & 1:
+                out |= model_monad(m, a)
+        return out
+
+    monads = [model_monad(m, x) for x in range(len(m.atoms))]
+    if not any(mx & ~spread(mx) for mx in monads):
+        return []
+    opens = m.space.opens
+    return [(g, v) for g in opens if g & ~spread(g) for v in opens if not g & ~v]
 
 
 def density_violations(m: StarModel) -> list[int]:
@@ -315,11 +320,7 @@ def embedding_is_homeomorphic(m: StarModel) -> bool:
     the subspace topology, under the embedding."""
     sub, pts = fintop.subspace(m.space, m.standard_mask)
     pos_of_atom = {atom: j for j, atom in enumerate(pts)}
-    transferred = set()
-    for o in sub.opens:
-        transferred.add(sum(1 << j for j, atom in enumerate(m.embedding)
-                            if (o >> pos_of_atom[atom]) & 1))
-    return set(sample_space(m).opens) == transferred
+    return fintop.is_homeomorphism(sample_space(m), sub, [pos_of_atom[a] for a in m.embedding])
 
 
 # -- definable maps ---------------------------------------------------
@@ -517,9 +518,11 @@ def star_map(f: DefMap, src: SpacePresentation, dst: SpacePresentation,
         dst_signature[sig] = b
     atom_map = [dst_signature[tuple(bool((mask >> i) & 1) for mask in pre_masks)]
                 for i in range(len(sm.atoms))]
+    # preimages keep unions and each open is a union of monads
+    monads = [model_monad(dm, b) for b in range(len(dm.atoms))]
     continuous = all(
-        sm.space.is_open(sum(1 << i for i, j in enumerate(atom_map) if (o >> j) & 1))
-        for o in dm.space.opens)
+        sm.space.is_open(sum(1 << i for i, j in enumerate(atom_map) if (mb >> j) & 1))
+        for mb in monads)
     return StarMap(sm, dm, tuple(atom_map), continuous)
 
 

@@ -6,18 +6,20 @@ regularity, complete regularity and normality over every open and
 closed set, every Boolean identity of the star map over every pair of
 sets, local compactness by a search over subsets and covers, and
 continuity and factoring by a search over every point map.  The slower
-forms of six fast paths stay here too: the scan of every code word for
+forms of ten fast paths stay here too: the scan of every code word for
 topology enumeration, the weak-reflection sweep over every labeled
 target, the scan of every dyad vector, adherence tested against every
 member of an ultrafilter trace, the homeomorphism search over every
-permutation of the points, and the final topology of a quotient by a
-scan of every target subset.  They are quadratic or worse in the number
-of opens (the searches are exponential) and run only in the tests,
-where they are compared with the monad-based code in `topolab.fintop`,
-the linear certificate in `topolab.star`, the kernels in
-`topolab._kernels`, the orbit sweep, the monad adherence and the
-final-topology check on monads in `topolab.reflect`, and the signature
-image in `topolab.dcomp`.
+permutation of the points, the final topology of a quotient by a scan
+of every target subset, continuity by the preimage of every open, the
+monad sandwich over every pair of nested opens, and the local
+compactness and supercompactness loops that the finite case makes
+theorems.  They are quadratic or worse in the number of opens (the
+searches are exponential) and run only in the tests, where they are
+compared with the monad-based code in `topolab.fintop`, the linear
+certificates in `topolab.star`, the kernels in `topolab._kernels`, the
+orbit sweep, the monad adherence and the final-topology check on monads
+in `topolab.reflect`, and the signature image in `topolab.dcomp`.
 """
 import itertools
 from typing import Sequence
@@ -28,7 +30,7 @@ from topolab import _kernels, reflect
 from topolab.fintop import FinSpace, enumerate_topologies, interior, property_report, subspace
 from topolab.reflect import QuotientMap, SweepReport
 from topolab.setalg import DefSet, ds_combine
-from topolab.star import star_of
+from topolab.star import model_monad, sample_space, star_of
 
 
 def is_topology(n, family):
@@ -192,6 +194,69 @@ def locally_compact_literal(s: FinSpace) -> bool:
             if not found:
                 return False
     return True
+
+
+def locally_compact_witness(s: FinSpace):
+    """First (x, V): V open around x that does not hold the monad of x, so
+    the monad is not a compact neighbourhood of x inside V.  The reduced
+    form of local compactness that `locally_compact_literal` checks."""
+    monads = monads_by_opens(s)
+    for x in range(s.n):
+        for v in s.opens:
+            if (v >> x) & 1 and monads[x] & ~v:
+                return (x, v)
+    return None
+
+
+def supercompact_witness(s: FinSpace):
+    """First (y, x0, x): the principal ultrafilter at y has adherence cl{y},
+    and the points x with that closure must share one monad with the first
+    of them, x0 ("essentially unique")."""
+    monads = monads_by_opens(s)
+    point_cl = [closure_by_opens(s.n, s.opens, 1 << x) for x in range(s.n)]
+    for y in range(s.n):
+        cands = [x for x in range(s.n) if point_cl[x] == point_cl[y]]
+        for x in cands:
+            if monads[x] != monads[cands[0]]:
+                return (y, cands[0], x)
+    return None
+
+
+def continuous_by_opens(a: FinSpace, b: FinSpace, point_map: Sequence[int]) -> bool:
+    """Whether the preimage of every open of b under the point map is open in a."""
+    return all(a.is_open(sum(1 << x for x, y in enumerate(point_map) if (o >> y) & 1))
+               for o in b.opens)
+
+
+def retraction_continuous_by_opens(m, r) -> bool:
+    """Continuity of a retraction into the T0 quotient of the sample space,
+    each atom sent to the class of the first sample it is assigned,
+    testing the preimage of every open of that quotient."""
+    q = reflect.t0_reflection(sample_space(m))
+    samples = m.presentation.samples
+    cls = [q.assign[samples.index(next(iter(a)))] for a in r.assign]
+    return continuous_by_opens(m.space, q.target, cls)
+
+
+def sandwich_by_opens(m):
+    """Every pair of nested opens G ⊆ V of a model with star(G) ⊄ spread or
+    spread ⊄ star(V), where spread is the union of the monads of the
+    samples in the ground set of G, scanning every pair of opens."""
+    out = []
+    samples = m.presentation.samples
+    monads = {i: model_monad(m, i) for i in m.embedding}
+    for g in m.space.opens:
+        spread = 0
+        gset = m.union_of(g)
+        for pos, x in enumerate(samples):
+            if x in gset:
+                spread |= monads[m.embedding[pos]]
+        for v in m.space.opens:
+            if g & ~v:
+                continue
+            if g & ~spread or spread & ~v:
+                out.append((g, v))
+    return out
 
 
 def relabelings(s: FinSpace) -> dict[frozenset[int], tuple[int, ...]]:

@@ -61,6 +61,12 @@ def test_c02_models_compact_lc_supercompact(capsys, corpus_models, enum_models):
         for flag in ("compact", "locally_compact", "supercompact"):
             if not getattr(rep, flag):
                 failures.append(f"{name} fails {flag}: {rep.witness(flag)}")
+        # the report states the last two as theorems; the definitional
+        # loops search for a counterexample on every model
+        for flag, oracle in (("locally_compact", oracles.locally_compact_witness),
+                             ("supercompact", oracles.supercompact_witness)):
+            if oracle(m.space) is not None:
+                failures.append(f"{name} fails {flag} by definition: {oracle(m.space)}")
         if robinson_coverage(m).covered:
             viol = sandwich_violations(m)
             if viol:

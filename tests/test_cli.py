@@ -336,6 +336,18 @@ def test_star_on_a_wide_family_within_two_seconds(tmp_path, capsys):
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize("argv", [["reflect", "--kind", "t0"], ["beta2"], ["retract"]])
+def test_reflections_at_the_family_cap_within_two_seconds(tmp_path, capsys, argv):
+    # the 16-atom, 8,193-open file above; its T0 target keeps all 8,193
+    # opens on 14 points, since the three samples share one monad
+    path = tmp_path / "family.top"
+    path.write_text(_singletons_file(16, range(13), samples=(13, 14, 15)))
+    rc, elapsed = _timed_main([argv[0], str(path), *argv[1:], "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["summary"]["atoms"] == 16
+    assert elapsed < 2.0
+
+
 def test_check_on_a_near_discrete_model_within_two_seconds(tmp_path, capsys):
     # ten singletons and one wider set: 12 atoms and 1,024 + 256 + 1 = 1,281
     # opens; the sample's atom has the whole model as its monad, so coverage

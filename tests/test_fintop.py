@@ -21,6 +21,7 @@ from topolab.fintop import (
     generate_topology,
     hasse_dot,
     interior,
+    is_homeomorphism,
     iso_check,
     monad,
     property_report,
@@ -199,13 +200,18 @@ def test_every_finite_space_compact_lc_supercompact(enumerations):
         for s in spaces:
             rep = property_report(s)
             assert rep.compact and rep.locally_compact and rep.supercompact
+            assert oracles.locally_compact_witness(s) is None
+            assert oracles.supercompact_witness(s) is None
 
 
 def test_locally_compact_reduction_lemma(enumerations):
-    # the monad-based checker must agree with the literal subset search
+    # the reduced loop and the report's theorem must agree with the
+    # literal subset search
     for n in range(4):
         for s in enumerations[n]:
-            assert oracles.locally_compact_literal(s) == property_report(s).locally_compact
+            literal = oracles.locally_compact_literal(s)
+            assert literal == (oracles.locally_compact_witness(s) is None)
+            assert literal == property_report(s).locally_compact
 
 
 def test_hierarchy_and_discreteness(enumerations):
@@ -254,7 +260,13 @@ def test_property_report_matches_definitions(enumerations, corpus_models):
         "completely_regular": oracles.completely_regular_witness,
         "normal": oracles.normal_witness,
     }
-    for s in _spaces_under_test(enumerations, corpus_models):
+    # random spaces on 7 and 8 points, where the normality certificate
+    # must both pass and fail
+    rng = random.Random(7)
+    wider = [generate_topology(n, rng.sample(range(1 << n), rng.randint(1, 8)))
+             for n in (7, 8) for _ in range(100)]
+    assert {oracles.normal_witness(s) is None for s in wider} == {True, False}
+    for s in _spaces_under_test(enumerations, corpus_models) + wider:
         rep = property_report(s)
         for flag, oracle in witness_of.items():
             want = oracle(s)
@@ -398,6 +410,17 @@ def _assert_iso_matches_oracle(spaces):
                 mapped = {sum(1 << got[x] for x in range(a.n) if (o >> x) & 1)
                           for o in a.opens}
                 assert mapped == set(b.opens)
+
+
+def test_homeomorphism_test_on_monads_matches_the_opens(enumerations):
+    # a bijection is a homeomorphism iff it carries the opens onto the opens
+    for n in range(4):
+        for a in enumerations[n]:
+            for perm in itertools.permutations(range(n)):
+                mapped = {sum(1 << perm[x] for x in range(n) if (o >> x) & 1)
+                          for o in a.opens}
+                for b in enumerations[n]:
+                    assert is_homeomorphism(a, b, perm) == (mapped == set(b.opens))
 
 
 def test_iso_agrees_with_permutation_search(enumerations):

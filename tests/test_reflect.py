@@ -10,6 +10,7 @@ from oracles import (
     final_topology_by_scan,
     is_topology,
     labeled_sweep,
+    retraction_continuous_by_opens,
 )
 from topolab.errors import NoRetraction
 from topolab.corpus import (
@@ -277,6 +278,15 @@ def test_retraction_consistent_with_t0_assignment(corpus_models):
         for i, cls in enumerate(r.assign):
             for x in cls:
                 assert q.assign[i] == q.assign[m.atom_of_sample(x)], (name, i, x)
+
+
+def test_retraction_continuity_matches_the_preimage_of_every_open(named_models):
+    for name, m in named_models:
+        try:
+            r = retraction(m)
+        except NoRetraction:
+            continue
+        assert r.continuous == retraction_continuous_by_opens(m, r), name
 
 
 # -- universal property ---------------------------------------------------------

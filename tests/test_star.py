@@ -225,8 +225,8 @@ def test_star_restricts_to_samples(corpus_models):
                 assert ((mask >> m.embedding[pos]) & 1) == (s in a)
 
 
-def test_embedding_homeomorphic(corpus_models):
-    for name, p, m in corpus_models:
+def test_embedding_homeomorphic(named_models):
+    for name, m in named_models:
         assert embedding_is_homeomorphic(m), name
 
 
@@ -283,6 +283,20 @@ def test_sandwich_where_coverage_holds(corpus_models):
     for name, p, m in corpus_models:
         if robinson_coverage(m).covered:
             assert sandwich_violations(m) == [], name
+
+
+def test_sandwich_matches_the_scan_of_nested_opens(named_models):
+    for name, m in named_models:
+        if robinson_coverage(m).covered:
+            assert sandwich_violations(m) == oracles.sandwich_by_opens(m), name
+    # three singletons and a wider set, sampled only outside them: the
+    # sample's monad is the whole model, and the singleton opens escape it
+    ground = Ground(6)
+    sets = [DefSet.from_members(ground, pts) for pts in ((0,), (1,), (2,), (1, 3, 4))]
+    m = build_star(SpacePresentation(ground, tuple(sets), (5,)))
+    viol = sandwich_violations(m)
+    assert robinson_coverage(m).covered and viol
+    assert viol == oracles.sandwich_by_opens(m)
 
 
 # -- ultrafilter traces ------------------------------------------------------
@@ -442,6 +456,27 @@ def test_star_map_error_cases():
     with pytest.raises(ValueError):
         star_map(DefMap.identity(OMEGA), chain_fragment(2), chain_fragment(2),
                  src_model=build_star(chain_fragment(3)))
+
+
+def test_star_map_continuity_matches_the_preimage_of_every_open():
+    # criterion 9's maps: the corpus maps, the identity into the discrete
+    # fragment and the composites
+    maps = {name: (f, src, dst) for name, f, src, dst in corpus_maps()}
+    cases = list(maps.values())
+    cases.append((DefMap.identity(OMEGA), chain_fragment(3), discrete_fragment(3)))
+    for gname, fname in (("shift_chain3_again", "shift_chain3"),
+                         ("collapse_chain3", "id_chain3")):
+        (g, _, dst), (f, src, _) = maps[gname], maps[fname]
+        cases.append((dm_compose(g, f), src, dst))
+    shifted = maps["shift_chain3"][2]
+    cases.append((DefMap.constant(shifted.ground, 0), shifted, pointed_chain_fragment(3)))
+    seen = set()
+    for f, src, dst in cases:
+        sm = star_map(f, src, dst)
+        assert sm.continuous == oracles.continuous_by_opens(sm.src.space, sm.dst.space,
+                                                            sm.atom_map)
+        seen.add(sm.continuous)
+    assert seen == {True, False}
 
 
 def test_continuity_equivalence_on_corpus():
