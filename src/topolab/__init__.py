@@ -62,7 +62,6 @@ from .star import (
     density_violations,
     dm_compose,
     ds_preimage,
-    embedding_is_homeomorphic,
     fragment_continuous,
     model_monad,
     robinson_coverage,

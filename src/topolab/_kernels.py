@@ -60,6 +60,7 @@ def topology_codes(n: int) -> np.ndarray:
 #   class_image[i, A]   the mask of the classes that meet A
 #   q_bitmaps[i, C]     class mask C is open in the quotient (padded)
 #   saturated[i, A]     A is a union of classes
+# and the target through tgt_basis, sets whose unions are its opens.
 # Over all point maps f: source -> target it counts, per source:
 #   continuous:  every target open pulls back to a source open
 #   factored:    some continuous F: quotient -> target has F(assign(x)) = f(x)
@@ -69,6 +70,11 @@ def topology_codes(n: int) -> np.ndarray:
 # of a target open under F is the class image of its pullback under f.
 # A factoring is therefore unique.  The exhaustive search over all F
 # stays in the tests, so the reduction itself stays under test.
+#
+# Pulling back the basis alone is exact: preimages under f and F keep
+# unions, and source and quotient opens are closed under unions, so the
+# basis pulls back to opens iff every target open does.  The sweep passes
+# the n_t monads, whose unions are the opens, in place of every open.
 
 
 def _preimage_table(n_s: int, n_t: int, masks: np.ndarray) -> np.ndarray:
@@ -86,11 +92,11 @@ def _preimage_table(n_s: int, n_t: int, masks: np.ndarray) -> np.ndarray:
 def reflection_counts(n_s: int, src_bitmaps: np.ndarray,
                       class_image: np.ndarray, q_bitmaps: np.ndarray,
                       saturated: np.ndarray,
-                      n_t: int, tgt_opens: np.ndarray
+                      n_t: int, tgt_basis: np.ndarray
                       ) -> tuple[int, np.ndarray, np.ndarray]:
     """(maps continuous over all sources, continuous per source, factored
     per source) for the k sources stacked in the (k, 2**n_s) tables."""
-    pre = _preimage_table(n_s, n_t, np.asarray(tgt_opens, dtype=np.int64))
+    pre = _preimage_table(n_s, n_t, np.asarray(tgt_basis, dtype=np.int64))
     fibres = _preimage_table(n_s, n_t, np.int64(1) << np.arange(n_t, dtype=np.int64))
     cont = np.ones((src_bitmaps.shape[0], pre.shape[1]), dtype=bool)
     for row in pre:

@@ -208,24 +208,23 @@ class SweepReport:
     nonunique_pairs: tuple[tuple[int, int], ...]
 
 
-def _space_bitmap(s: FinSpace) -> np.ndarray:
-    out = np.zeros(1 << s.n, dtype=np.bool_)
-    for o in s.opens:
-        out[o] = True
-    return out
-
-
-def _class_tables(q: QuotientMap) -> tuple[np.ndarray, ...]:
-    """The per-source rows `_kernels.reflection_counts` takes: over the
-    subset masks of the source, its open bitmap, the class image, the
-    quotient's open bitmap (padded to the same width) and whether the
-    subset is a union of classes."""
-    nsub = 1 << q.source.n
-    image = np.array([q.image(a) for a in range(nsub)], dtype=np.int64)
-    q_bitmap = np.zeros(nsub, dtype=np.bool_)
-    q_bitmap[list(q.target.opens)] = True
-    saturated = np.array([q.preimage(int(c)) == a for a, c in enumerate(image)])
-    return _space_bitmap(q.source), image, q_bitmap, saturated
+def _class_tables(quotients: list[QuotientMap]) -> list[np.ndarray]:
+    """The (k, 2**n) tables `_kernels.reflection_counts` takes for k
+    quotients of n-point sources, built from their (k, n) assign matrix:
+    over the subset masks of each source, its open bitmap, the class
+    image, the quotient's open bitmap (padded to the same width) and
+    whether the subset is a union of classes."""
+    k, n = len(quotients), quotients[0].source.n
+    masks = np.arange(1 << n, dtype=np.int64)
+    assign = np.array([q.assign for q in quotients], dtype=np.int64)
+    image, pre = np.zeros((2, k, 1 << n), dtype=np.int64)
+    for x in range(n):
+        image |= ((masks >> x) & 1) << assign[:, x, None]
+        pre |= ((masks >> assign[:, x, None]) & 1) << x
+    src, quo = np.zeros((2, k, 1 << n), dtype=np.bool_)
+    for i, q in enumerate(quotients):
+        src[i, list(q.source.opens)] = quo[i, list(q.target.opens)] = True
+    return [src, image, quo, np.take_along_axis(pre, image, axis=1) == masks]
 
 
 def _relabelings(n: int) -> np.ndarray:
@@ -262,7 +261,7 @@ def _sweep_counts(max_n: int, kind: str) -> tuple[
     else:
         targets = [FinSpace(n, tuple(range(1 << n))) for n in range(max_n + 1)]
         reflection = t2_reflection
-    batches = [(n, [np.stack(r) for r in zip(*(_class_tables(reflection(s)) for s in spaces))])
+    batches = [(n, _class_tables([reflection(s) for s in spaces]))
                for n, spaces in enumerate(by_size)]
     relabel = [_relabelings(n) for n in range(max_n + 1)]
     classes: dict[tuple, list[int]] = {}
@@ -272,8 +271,8 @@ def _sweep_counts(max_n: int, kind: str) -> tuple[
     counts = []
     for members in classes.values():
         t = targets[members[0]]
-        opens = np.array(t.opens, dtype=np.int64)
-        per_size = [_kernels.reflection_counts(n_s, *tables, t.n, opens)[1:]
+        monads = np.array(t._monads, dtype=np.int64)
+        per_size = [_kernels.reflection_counts(n_s, *tables, t.n, monads)[1:]
                     for n_s, tables in batches]
         counts.append((members, np.concatenate([c for c, _ in per_size]),
                        np.concatenate([f for _, f in per_size])))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import fintop
 from .errors import (
@@ -266,9 +266,9 @@ def robinson_coverage(m: StarModel) -> CoverageReport:
     return CoverageReport(not uncovered, uncovered)
 
 
-def sandwich_violations(m: StarModel) -> list[tuple[int, int]]:
+def sandwich_violations(m: StarModel) -> Iterator[tuple[int, int]]:
     """Nested fragment opens G ⊆ V where star(G) ⊆ ∪{monad(η(x)) : x ∈ G∩samples}
-    ⊆ star(V) fails.  Meaningful when robinson_coverage holds; the caller gates.
+    ⊆ star(V) fails, yielded lazily.  Meaningful when robinson_coverage holds; the caller gates.
 
     The right inclusion always holds: η(x) for a sample x in G is an atom of
     the open G, so its monad lies in G, and G ⊆ V.  The left one does not
@@ -285,10 +285,9 @@ def sandwich_violations(m: StarModel) -> list[tuple[int, int]]:
         return out
 
     monads = [model_monad(m, x) for x in range(len(m.atoms))]
-    if not any(mx & ~spread(mx) for mx in monads):
-        return []
-    opens = m.space.opens
-    return [(g, v) for g in opens if g & ~spread(g) for v in opens if not g & ~v]
+    if any(mx & ~spread(mx) for mx in monads):
+        opens = m.space.opens
+        yield from ((g, v) for g in opens if g & ~spread(g) for v in opens if not g & ~v)
 
 
 def density_violations(m: StarModel) -> list[int]:
@@ -313,14 +312,6 @@ def sample_space(m: StarModel) -> FinSpace:
                 image |= bits
         images.append(image)
     return generate_topology(len(samples), images)
-
-
-def embedding_is_homeomorphic(m: StarModel) -> bool:
-    """The samples with their fragment topology match the standard atoms with
-    the subspace topology, under the embedding."""
-    sub, pts = fintop.subspace(m.space, m.standard_mask)
-    pos_of_atom = {atom: j for j, atom in enumerate(pts)}
-    return fintop.is_homeomorphism(sample_space(m), sub, [pos_of_atom[a] for a in m.embedding])
 
 
 # -- definable maps ---------------------------------------------------

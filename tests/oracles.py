@@ -2,24 +2,27 @@
 
 Each function transcribes a definition outright: pairwise closure of an
 open family, monads as intersections of opens, the quantifiers of
-regularity, complete regularity and normality over every open and
-closed set, every Boolean identity of the star map over every pair of
-sets, local compactness by a search over subsets and covers, and
-continuity and factoring by a search over every point map.  The slower
-forms of ten fast paths stay here too: the scan of every code word for
+regularity, complete regularity and normality over every open and closed
+set, every Boolean identity of the star map over every pair of sets,
+local compactness by a search over subsets and covers, and continuity
+and factoring by a search over every point map.  The slower forms of
+eleven fast paths stay here too: the scan of every code word for
 topology enumeration, the weak-reflection sweep over every labeled
-target, the scan of every dyad vector, adherence tested against every
-member of an ultrafilter trace, the homeomorphism search over every
-permutation of the points, the final topology of a quotient by a scan
-of every target subset, continuity by the preimage of every open, the
-monad sandwich over every pair of nested opens, and the local
-compactness and supercompactness loops that the finite case makes
-theorems.  They are quadratic or worse in the number of opens (the
-searches are exponential) and run only in the tests, where they are
-compared with the monad-based code in `topolab.fintop`, the linear
-certificates in `topolab.star`, the kernels in `topolab._kernels`, the
-orbit sweep, the monad adherence and the final-topology check on monads
-in `topolab.reflect`, and the signature image in `topolab.dcomp`.
+target and every open, its tables built one subset mask at a time, the
+scan of every dyad vector, adherence tested against every member of an
+ultrafilter trace, the homeomorphism search over every permutation of
+the points, the final topology of a quotient by a scan of every target
+subset, continuity by the preimage of every open, the monad sandwich
+over every pair of nested opens, and the local compactness and
+supercompactness loops that the finite case makes theorems.  The test
+that the sample space is homeomorphic to the standard atoms stays as
+well, though it holds by construction.  They are quadratic or worse in
+the number of opens (the searches are exponential) and run only in the
+tests, where they are compared with the monad-based code in
+`topolab.fintop`, the linear certificates in `topolab.star`, the kernels
+in `topolab._kernels`, the orbit sweep, the monad adherence and the
+final-topology check on monads in `topolab.reflect`, and the signature
+image in `topolab.dcomp`.
 """
 import itertools
 from typing import Sequence
@@ -27,7 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from topolab import _kernels, reflect
-from topolab.fintop import FinSpace, enumerate_topologies, interior, property_report, subspace
+from topolab.fintop import (
+    FinSpace, enumerate_topologies, interior, is_homeomorphism, property_report, subspace)
 from topolab.reflect import QuotientMap, SweepReport
 from topolab.setalg import DefSet, ds_combine
 from topolab.star import model_monad, sample_space, star_of
@@ -259,6 +263,22 @@ def sandwich_by_opens(m):
     return out
 
 
+def embedding_is_homeomorphic(m) -> bool:
+    """The samples with their fragment topology match the standard atoms with
+    the subspace topology, under the embedding.
+
+    This holds by construction.  `sample_space` generates its topology from
+    the images {s : η(s) ∈ monad(i)} of the model monads.  Its monad at j is
+    the least of those holding j: η(j) ∈ monad(i) puts monad(η(j)) inside
+    monad(i), so it is {s : η(s) ∈ monad(η(j))}.  That is the subspace
+    monad of η(j) on the standard atoms, renamed by the injective η, and
+    topologies with the same monads are equal.
+    """
+    sub, pts = subspace(m.space, m.standard_mask)
+    pos_of_atom = {atom: j for j, atom in enumerate(pts)}
+    return is_homeomorphism(sample_space(m), sub, [pos_of_atom[a] for a in m.embedding])
+
+
 def relabelings(s: FinSpace) -> dict[frozenset[int], tuple[int, ...]]:
     """The homeomorphism search by every permutation of the points: each
     open family that some permutation carries the opens of s onto, with the
@@ -353,11 +373,32 @@ def topology_codes_by_scan(n):
     return codes[ok]
 
 
+def space_bitmap(s: FinSpace, width: int) -> np.ndarray:
+    """Whether each of the first `width` subset masks is open in s."""
+    out = np.zeros(width, dtype=np.bool_)
+    out[list(s.opens)] = True
+    return out
+
+
+def class_tables_by_map(q: QuotientMap) -> tuple[np.ndarray, ...]:
+    """One quotient's rows of the tables `reflect._class_tables` stacks,
+    subset mask by subset mask through `q.image` and `q.preimage`: the
+    source's open bitmap, the class image, the quotient's open bitmap
+    (padded to the same width) and whether the subset is a union of
+    classes."""
+    nsub = 1 << q.source.n
+    image = np.array([q.image(a) for a in range(nsub)], dtype=np.int64)
+    saturated = np.array([q.preimage(int(c)) == a for a, c in enumerate(image)])
+    return (space_bitmap(q.source, nsub), image, space_bitmap(q.target, nsub),
+            saturated)
+
+
 def labeled_sweep(max_n, kind):
     """The weak-reflection sweep with one kernel call per labeled target and
-    source size, T0 targets picked by `property_report`.  Returns the
-    report and the (continuous, factored) count of every (source, target)
-    index pair."""
+    source size, on tables built by `class_tables_by_map` and every open of
+    the target, T0 targets picked by `property_report`.  Returns the report
+    and the (continuous, factored) count of every (source, target) index
+    pair."""
     by_size = [list(enumerate_topologies(n)) for n in range(max_n + 1)]
     sources = [s for spaces in by_size for s in spaces]
     if kind == "t0":
@@ -369,7 +410,7 @@ def labeled_sweep(max_n, kind):
     batches = []
     first = 0
     for n, spaces in enumerate(by_size):
-        rows = zip(*(reflect._class_tables(reflection(s)) for s in spaces))
+        rows = zip(*(class_tables_by_map(reflection(s)) for s in spaces))
         batches.append((first, n, [np.stack(r) for r in rows]))
         first += len(spaces)
     unfactored = []

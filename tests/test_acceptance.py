@@ -68,9 +68,11 @@ def test_c02_models_compact_lc_supercompact(capsys, corpus_models, enum_models):
             if oracle(m.space) is not None:
                 failures.append(f"{name} fails {flag} by definition: {oracle(m.space)}")
         if robinson_coverage(m).covered:
-            viol = sandwich_violations(m)
+            viol = list(sandwich_violations(m))
             if viol:
                 failures.append(f"{name} sandwich gap at opens {viol[0]}")
+            if viol != oracles.sandwich_by_opens(m):
+                failures.append(f"{name} sandwich pairs differ from the scan of nested opens")
     _verdict(capsys, 2, "models compact, locally compact, supercompact", failures)
 
 

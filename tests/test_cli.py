@@ -348,6 +348,20 @@ def test_reflections_at_the_family_cap_within_two_seconds(tmp_path, capsys, argv
     assert elapsed < 2.0
 
 
+def test_check_at_the_family_cap_within_two_seconds(tmp_path, capsys):
+    # the 16-atom, 8,193-open file above: 8,191 opens escape their spread,
+    # so over a million nested pairs fail the sandwich; two are printed
+    path = tmp_path / "family.top"
+    path.write_text(_singletons_file(16, range(13), samples=(13, 14, 15)))
+    rc, elapsed = _timed_main(["check", str(path), "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1 and doc["summary"]["opens"] == 8193
+    sandwich = next(item for item in doc["items"] if item["name"] == "monad-sandwich")
+    assert sandwich["status"] == "fail"
+    assert sandwich["witness"] == "G={{0}} V={{0}}; G={{0}} V={{0},{1}}"
+    assert elapsed < 2.0
+
+
 def test_check_on_a_near_discrete_model_within_two_seconds(tmp_path, capsys):
     # ten singletons and one wider set: 12 atoms and 1,024 + 256 + 1 = 1,281
     # opens; the sample's atom has the whole model as its monad, so coverage

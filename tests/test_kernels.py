@@ -5,7 +5,7 @@ import numpy as np
 import oracles
 from topolab import _kernels, reflect
 from topolab.fintop import FinSpace, enumerate_topologies, iso_check, property_report
-from topolab.reflect import _class_tables, _space_bitmap, t0_reflection, t2_reflection
+from topolab.reflect import _class_tables, t0_reflection, t2_reflection
 
 
 def test_topology_codes_match_the_code_scan():
@@ -24,33 +24,55 @@ def test_topology_codes_at_five_points():
         FinSpace(5, tuple(s for s in range(32) if (code >> s) & 1))
 
 
-def _batch(quotients):
-    """Kernel tables for quotients of sources that share one size."""
-    return [np.stack(rows) for rows in zip(*(_class_tables(q) for q in quotients))]
-
-
 def _bruteforce(q, tgt):
     # the search also counts maps with exactly one factorization, which must
     # be every factored one
     ncont, nfact, nuniq = oracles.reflection_counts_bruteforce(
-        q.source.n, _space_bitmap(q.source), q.target.n, _space_bitmap(q.target),
-        q.assign, tgt.n, tgt.opens)
+        q.source.n, oracles.space_bitmap(q.source, 1 << q.source.n), q.target.n,
+        oracles.space_bitmap(q.target, 1 << q.target.n), q.assign, tgt.n, tgt.opens)
     assert nfact == nuniq
     return ncont, nfact
 
 
 def _counts(n_s, tables, tgt):
-    total, cont, fact = _kernels.reflection_counts(
-        n_s, *tables, tgt.n, np.asarray(tgt.opens, dtype=np.int64))
-    assert total == int(cont.sum())
-    return list(zip(cont.tolist(), fact.tolist()))
+    # the sweep passes the target's monads; every open must give the same
+    got = []
+    for basis in (tgt._monads, tgt.opens):
+        total, cont, fact = _kernels.reflection_counts(
+            n_s, *tables, tgt.n, np.asarray(basis, dtype=np.int64))
+        assert total == int(cont.sum())
+        got.append(list(zip(cont.tolist(), fact.tolist())))
+    assert got[0] == got[1]
+    return got[0]
 
 
 def _check_against_bruteforce(sources, targets, reflection):
     quotients = [reflection(s) for s in sources]
-    tables = _batch(quotients)
+    tables = _class_tables(quotients)
     for tgt in targets:
         assert _counts(sources[0].n, tables, tgt) == [_bruteforce(q, tgt) for q in quotients]
+
+
+def test_class_tables_match_the_tables_by_map():
+    for reflection in (t0_reflection, t2_reflection):
+        for n in range(5):
+            quotients = [reflection(s) for s in enumerate_topologies(n)]
+            tables = _class_tables(quotients)
+            assert all(t.shape == (len(quotients), 1 << n) for t in tables)
+            for i, q in enumerate(quotients):
+                for got, want in zip(tables, oracles.class_tables_by_map(q)):
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got[i], want)
+
+
+def test_reflection_counts_on_monads_match_every_open():
+    # every (target, source size) pair on at most 3 points
+    targets = [s for n in range(4) for s in enumerate_topologies(n)]
+    for reflection in (t0_reflection, t2_reflection):
+        for n in range(4):
+            tables = _class_tables([reflection(s) for s in enumerate_topologies(n)])
+            for tgt in targets:
+                _counts(n, tables, tgt)
 
 
 def test_reflection_counts_all_paths_agree():
@@ -72,15 +94,15 @@ def test_empty_source_and_empty_target():
     point = FinSpace(1, (0, 1))
     # the empty map is the one map out of the empty space, into any target
     for tgt in (empty, point):
-        assert _counts(0, _batch([t0_reflection(empty)]), tgt) == [(1, 1)]
+        assert _counts(0, _class_tables([t0_reflection(empty)]), tgt) == [(1, 1)]
     # a nonempty space has no map into the empty space
-    assert _counts(1, _batch([t0_reflection(point)]), empty) == [(0, 0)]
+    assert _counts(1, _class_tables([t0_reflection(point)]), empty) == [(0, 0)]
 
 
 def test_knocked_out_source_open_breaks_agreement():
     spaces = list(enumerate_topologies(2))
     quotients = [t0_reflection(s) for s in spaces]
-    tables = _batch(quotients)
+    tables = _class_tables(quotients)
     hit = next(i for i, s in enumerate(spaces) if 0b01 in s.opens)
     tables[0][hit, 0b01] = False
     # the identity onto the Sierpinski space pulls {0} back to {0}
@@ -91,19 +113,28 @@ def test_knocked_out_source_open_breaks_agreement():
 
 
 def test_knocked_out_quotient_open_shows_as_unfactored(monkeypatch):
-    # drop {0} from the quotient of the discrete 2-point space: the identity
-    # into the discrete 2-point target no longer factors
+    # drop {0} from the quotient of the discrete 2-point space, in the sweep's
+    # batch table and in the oracle's per-quotient rows: the identity into
+    # the discrete 2-point target no longer factors
     discrete = FinSpace(2, (0, 1, 2, 3))
-    real = reflect._class_tables
+    batch, by_map = reflect._class_tables, oracles.class_tables_by_map
 
-    def knocked(q):
-        sbm, image, q_bitmap, saturated = real(q)
+    def knocked_batch(quotients):
+        tables = batch(quotients)
+        for i, q in enumerate(quotients):
+            if q.source == discrete:
+                tables[2][i, 0b01] = False
+        return tables
+
+    def knocked_by_map(q):
+        sbm, image, q_bitmap, saturated = by_map(q)
         if q.source == discrete:
             q_bitmap = q_bitmap.copy()
             q_bitmap[0b01] = False
         return sbm, image, q_bitmap, saturated
 
-    monkeypatch.setattr(reflect, "_class_tables", knocked)
+    monkeypatch.setattr(reflect, "_class_tables", knocked_batch)
+    monkeypatch.setattr(oracles, "class_tables_by_map", knocked_by_map)
     sources = [s for n in range(3) for s in enumerate_topologies(n)]
     for kind in ("t0", "t2"):
         rep = reflect.weak_reflection_sweep(2, kind)
