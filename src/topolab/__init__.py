@@ -39,7 +39,6 @@ from .setalg import (
 from .fintop import (
     FinSpace,
     PropertyReport,
-    SpecOrder,
     closure,
     enumerate_topologies,
     generate_topology,
@@ -48,7 +47,6 @@ from .fintop import (
     iso_check,
     monad,
     property_report,
-    specialization,
     subspace,
 )
 from .star import (

@@ -11,7 +11,6 @@ import argparse
 import functools
 import itertools
 import json
-import os
 import re
 import sys
 import time
@@ -34,7 +33,6 @@ from .fintop import (
     hasse_dot,
     iso_check,
     property_report,
-    specialization,
 )
 from .setalg import OMEGA, DefSet, Ground, parse_set_expr
 from .star import (
@@ -306,16 +304,6 @@ def render_structured(report: Report) -> str:
 # -- command implementations -------------------------------------------
 
 
-def _atom_cap() -> int | None:
-    raw = os.environ.get("TOPOLAB_ATOM_CAP")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"TOPOLAB_ATOM_CAP={raw!r} is not a number") from None
-
-
 def _load(path: str) -> SpacePresentation:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_presentation(fh.read()).presentation()
@@ -359,7 +347,7 @@ def _report_flags(report: Report, prefix: str, rep: fintop.PropertyReport) -> No
 def _write_dot(m: StarModel, path: str) -> None:
     labels = [_atom_label(m, i) for i in range(len(m.atoms))]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(hasse_dot(specialization(m.space), labels))
+        fh.write(hasse_dot(m.space, labels))
 
 
 def cmd_check(m: StarModel, args: argparse.Namespace, report: Report) -> None:
@@ -464,7 +452,7 @@ def cmd_retract(m: StarModel, args: argparse.Namespace, report: Report) -> None:
         _summarize(report, m)
         return
     report.add("retraction-exists", PASS)
-    report.check("continuous", r.continuous)
+    report.add("continuous", PASS)  # a theorem: see `retraction`
     identity = all(p.samples[j] in r.assign[m.embedding[j]]
                    for j in range(len(p.samples)))
     report.check("fixes-standard-part", identity)
@@ -475,15 +463,14 @@ def cmd_retract(m: StarModel, args: argparse.Namespace, report: Report) -> None:
 
 
 def cmd_dcomp(m: StarModel, args: argparse.Namespace, report: Report) -> None:
-    p = m.presentation
-    fam = dyad_family_of(p)
-    report.check("family-continuous", check_family_continuous(p, fam, m),
+    fam = dyad_family_of(m.presentation)
+    report.check("family-continuous", check_family_continuous(m, fam),
                  f"{len(fam.maps)} characteristic maps")
-    emb = dcomp_embed(p, fam, m)
+    emb = dcomp_embed(m, fam)
     report.add("image-vectors", INFO,
                " ".join(format(v, f"0{max(len(fam.maps), 1)}b") for v in emb.image_vectors))
     report.add("closure-size", INFO, str(len(emb.closure_vectors)))
-    cc = dcomp_crosscheck(p, model=m, embedding=emb)
+    cc = dcomp_crosscheck(m, emb)
     # the certificate is a homeomorphism onto the whole image, so it is
     # also the embedding
     verdict = "yes" if cc.homeomorphic else "no"
@@ -577,7 +564,7 @@ def run(args: argparse.Namespace) -> Report:
         cmd_enumerate(args.n, report)
     else:
         report = Report(args.command, args.file)
-        m = build_star(_load(args.file), _atom_cap())
+        m = build_star(_load(args.file))
         _HANDLERS[args.command](m, args, report)
         if getattr(args, "dot", None):
             _write_dot(m, args.dot)

@@ -16,7 +16,7 @@ from .errors import FamilyTooLarge, GroundMismatch, SizeCapExceeded
 from .fintop import MAX_POINTS, FinSpace, generate_topology, is_homeomorphism
 # unused here, but topobench's tracer self-test checks that this binding is patched
 from .setalg import DefSet, ds_combine  # noqa: F401
-from .star import SpacePresentation, StarModel, build_star, star_of
+from .star import SpacePresentation, StarModel, star_of
 
 DYAD = FinSpace(2, (0, 1, 3))
 
@@ -42,10 +42,8 @@ def dyad_family_of(p: SpacePresentation) -> DyadFamily:
     return DyadFamily(p.subbase)
 
 
-def check_family_continuous(p: SpacePresentation, fam: DyadFamily,
-                            model: StarModel | None = None) -> bool:
+def check_family_continuous(m: StarModel, fam: DyadFamily) -> bool:
     """Each member's 0-preimage must be open in the fragment topology."""
-    m = model if model is not None else build_star(p)
     opens = {m.union_of(o) for o in m.space.opens}
     return all(g in opens for g in fam.maps)
 
@@ -82,9 +80,8 @@ def _atom_signatures(m: StarModel, fam: DyadFamily) -> list[int]:
             for a in range(len(m.atoms))]
 
 
-def dcomp_embed(p: SpacePresentation, fam: DyadFamily,
-                model: StarModel | None = None) -> DyadEmbedding:
-    """Evaluate the family over the whole ground.
+def dcomp_embed(m: StarModel, fam: DyadFamily) -> DyadEmbedding:
+    """Evaluate the family over the whole ground of m's presentation.
 
     A value vector has bit i set iff the point is outside fam.maps[i].
     Every atom lies inside or outside each member, so all points of an
@@ -99,7 +96,6 @@ def dcomp_embed(p: SpacePresentation, fam: DyadFamily,
     k = len(fam.maps)
     if k > FAMILY_CAP:
         raise FamilyTooLarge(f"{k} maps exceed the family cap {FAMILY_CAP}")
-    m = model if model is not None else build_star(p)
     image_vectors = tuple(sorted(set(_atom_signatures(m, fam))))
     # a vector w is adherent iff some realized v has ones(v) ⊆ ones(w): the
     # minimal neighbourhood of w in the power is {u : ones(u) ⊆ ones(w)}
@@ -118,7 +114,7 @@ def dcomp_embed(p: SpacePresentation, fam: DyadFamily,
     clo = _cylinder_space(closure_vectors, k)
     vec_index = {v: j for j, v in enumerate(image_vectors)}
     ev = []
-    for s in p.samples:
+    for s in m.presentation.samples:
         v = sum(1 << i for i, g in enumerate(fam.maps) if s not in g)
         ev.append(vec_index[v])
     return DyadEmbedding(fam, image_vectors, image, closure_vectors, clo, tuple(ev))
@@ -135,11 +131,9 @@ class CrosscheckReport:
     iso: tuple[int, ...] | None
 
 
-def dcomp_crosscheck(p: SpacePresentation, cap: int | None = None, *,
-                     model: StarModel | None = None,
-                     embedding: DyadEmbedding | None = None) -> CrosscheckReport:
-    """Certify that the T0-reflected model is homeomorphic to the dyad image;
-    a caller that has the model or the canonical embedding passes it in.
+def dcomp_crosscheck(m: StarModel, emb: DyadEmbedding) -> CrosscheckReport:
+    """Certify that the T0-reflected model m is homeomorphic to the image of
+    its embedding emb.
 
     Each T0 class goes to the value vector of its atoms under the
     embedding's family.  The report is homeomorphic, with that map as
@@ -157,8 +151,6 @@ def dcomp_crosscheck(p: SpacePresentation, cap: int | None = None, *,
     {v : bit i of v is 0}; those cylinders generate the image's opens.
     """
     from .reflect import t0_reflection  # loads numpy, which dcomp_embed never needs
-    m = model if model is not None else build_star(p, cap)
-    emb = embedding if embedding is not None else dcomp_embed(p, dyad_family_of(p), m)
     q = t0_reflection(m.space)
     pairs = set(zip(q.assign, _atom_signatures(m, emb.family)))
     vector_of = dict(pairs)

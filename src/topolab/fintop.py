@@ -129,17 +129,6 @@ def _unions(masks: Sequence[int]) -> set[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SpecOrder:
-    """Specialization preorder: row x is the mask of {y : x in cl{y}}."""
-
-    n: int
-    leq: tuple[int, ...]
-
-    def holds(self, x: int, y: int) -> bool:
-        return bool((self.leq[x] >> y) & 1)
-
-
 def generate_topology(n: int, subbase: Sequence[int]) -> FinSpace:
     """Smallest topology containing the subbase.
 
@@ -178,11 +167,6 @@ def monad(s: FinSpace, x: int) -> int:
     if not 0 <= x < s.n:
         raise ValueError(f"point {x} outside the space")
     return s._monads[x]
-
-
-def specialization(s: FinSpace) -> SpecOrder:
-    # x <= y iff x in cl{y} iff y belongs to every open around x, i.e. y in monad(x)
-    return SpecOrder(s.n, tuple(monad(s, x) for x in range(s.n)))
 
 
 @dataclass(frozen=True)
@@ -363,8 +347,8 @@ def iso_check(a: FinSpace, b: FinSpace) -> tuple[int, ...] | None:
         return None
     if sorted(o.bit_count() for o in a.opens) != sorted(o.bit_count() for o in b.opens):
         return None
-    la = specialization(a).leq
-    lb = specialization(b).leq
+    # the specialization order: x <= y iff x in cl{y} iff y in monad(x)
+    la, lb = a._monads, b._monads
     ca = [closure(a, 1 << x) for x in range(a.n)]
     cb = [closure(b, 1 << x) for x in range(b.n)]
     key_a = [(la[x].bit_count(), ca[x].bit_count()) for x in range(a.n)]
@@ -437,16 +421,17 @@ def _classes_by_key(keys: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     return classes, assign
 
 
-def hasse_dot(order: SpecOrder, labels: Sequence[str] | None = None) -> str:
-    """DOT rendering of the Hasse diagram of the T0 quotient of the preorder.
+def hasse_dot(s: FinSpace, labels: Sequence[str] | None = None) -> str:
+    """DOT rendering of the Hasse diagram of the T0 quotient of the
+    specialization preorder, x <= y iff y lies in monad(x).
 
     Nodes are the monad-equality classes in order of first member; an edge
     runs upward for each covering pair.  Output is deterministic.
     """
-    classes, _ = _classes_by_key(order.leq)
+    classes, _ = _classes_by_key(s._monads)
 
     def below(c: int, d: int) -> bool:
-        return c != d and order.holds(classes[c][0], classes[d][0])
+        return c != d and bool((s._monads[classes[c][0]] >> classes[d][0]) & 1)
 
     k = len(classes)
     lines = ["digraph hasse {", "  rankdir=BT;"]

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import NoRetraction
-from .fintop import FinSpace, _classes_by_key, enumerate_topologies, monad, specialization
-from .star import SpacePresentation, StarModel, build_star, model_monad, sample_space
+from .fintop import FinSpace, _classes_by_key, enumerate_topologies, monad
+from .star import SpacePresentation, StarModel, build_star, model_monad
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,6 @@ def t0_reflection(s: FinSpace) -> QuotientMap:
 def t2_reflection(s: FinSpace) -> QuotientMap:
     """Quotient by specialization connectivity.  Components are clopen in a
     finite space, so the quotient is discrete and the map continuous."""
-    leq = specialization(s).leq
     parent = list(range(s.n))
 
     def find(x: int) -> int:
@@ -105,27 +104,27 @@ def t2_reflection(s: FinSpace) -> QuotientMap:
             x = parent[x]
         return x
 
-    for x in range(s.n):
+    for x, mx in enumerate(s._monads):  # y in monad(x) iff x <= y
         for y in range(s.n):
-            if (leq[x] >> y) & 1:
+            if (mx >> y) & 1:
                 parent[find(x)] = find(y)
     classes, assign = _classes_by_key([find(x) for x in range(s.n)])
     k = len(classes)
     return QuotientMap(s, FinSpace(k, (), [1 << c for c in range(k)]), tuple(assign))
 
 
-def beta_fragment(p: SpacePresentation, cap: int | None = None) -> tuple[StarModel, QuotientMap]:
+def beta_fragment(p: SpacePresentation) -> tuple[StarModel, QuotientMap]:
     """Fragment analogue of the largest compactification: the T2 reflection
     of the star model."""
-    m = build_star(p, cap)
+    m = build_star(p)
     return m, t2_reflection(m.space)
 
 
-def beta2_fragment(p: SpacePresentation, cap: int | None = None) -> tuple[StarModel, QuotientMap]:
+def beta2_fragment(p: SpacePresentation) -> tuple[StarModel, QuotientMap]:
     """Fragment analogue of the T0 compactification: the T0 reflection of
     the star model.  The target always passes t0, compact, locally_compact
     and supercompact."""
-    m = build_star(p, cap)
+    m = build_star(p)
     return m, t0_reflection(m.space)
 
 
@@ -146,11 +145,10 @@ def adherence(m: StarModel, atom: int) -> frozenset[int]:
 @dataclass(frozen=True)
 class RetractionMap:
     """Atom → class of samples with matching closure; identity on standard
-    atoms, with continuity into the sample classes reported."""
+    atoms."""
 
     model: StarModel
     assign: tuple[frozenset[int], ...]
-    continuous: bool
 
     def __post_init__(self):
         for pos, s in enumerate(self.model.presentation.samples):
@@ -170,6 +168,17 @@ def retraction(m: StarModel) -> RetractionMap:
     sample closures, x lies in cl{y} and y in cl{x}.  In a finite space
     x in cl{y} means y in monad(x), so monad(y) ⊆ monad(x), and the
     other way round gives equality.
+
+    The map r into the T0 quotient of the sample space (`sample_space`),
+    each atom to the class of its samples, is continuous, so it is not
+    checked.  An open is the union of the monads of its points, so it is
+    enough that k in monad(i) and r(i) in an open U put r(k) in U.  Write
+    adh for adherence.  A sample monad that holds i is open, so it holds
+    monad(i) and k: adh(k) ⊇ adh(i).  For y in r(i) and y' in r(k) that
+    reads cl{y} ⊆ cl{y'} on the samples, so y lies in cl{y'}, and the
+    continuous quotient map keeps this: r(i) lies in the closure of r(k),
+    so every open around r(i) holds r(k).  Hence each target monad pulls
+    back to an open.
     """
     samples = m.presentation.samples
     by_closure: dict[frozenset[int], list[int]] = {}
@@ -181,16 +190,7 @@ def retraction(m: StarModel) -> RetractionMap:
         if adh not in by_closure:
             raise NoRetraction(i, f"adherence {sorted(adh)} matches no sample closure")
         assign.append(frozenset(by_closure[adh]))
-
-    # continuity into the T0 quotient of the sample subspace: preimages keep
-    # unions and each open is a union of monads, so test the monads only
-    q = t0_reflection(sample_space(m))
-    cls_of_sample = {s: q.assign[j] for j, s in enumerate(samples)}
-    cls = [cls_of_sample[next(iter(a))] for a in assign]
-    continuous = all(
-        m.space.is_open(sum(1 << i for i, c in enumerate(cls) if (md >> c) & 1))
-        for md in (monad(q.target, d) for d in range(q.target.n)))
-    return RetractionMap(m, tuple(assign), continuous)
+    return RetractionMap(m, tuple(assign))
 
 
 # -- the exhaustive sweep ---------------------------------------------

@@ -342,16 +342,15 @@ def ds_compare(a: DefSet, b: DefSet) -> SetRelation:
 
 @dataclass(frozen=True)
 class AlgebraBasis:
-    """Finite generator list for a subalgebra, with a hard count cap."""
+    """Finite generator list for a subalgebra, at most GENERATOR_CAP long."""
 
     generators: tuple[DefSet, ...]
-    cap: int = GENERATOR_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        if len(self.generators) > self.cap:
+        if len(self.generators) > GENERATOR_CAP:
             raise AtomCapExceeded(
-                f"{len(self.generators)} generators exceed the cap of {self.cap}")
+                f"{len(self.generators)} generators exceed the cap of {GENERATOR_CAP}")
         grounds = {g.ground for g in self.generators}
         if len(grounds) > 1:
             raise GroundMismatch("generators span several grounds")

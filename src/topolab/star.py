@@ -149,7 +149,7 @@ class StarModel:
         return self.embedding[self.presentation.samples.index(s)]
 
 
-def build_star(p: SpacePresentation, cap: int | None = None) -> StarModel:
+def build_star(p: SpacePresentation) -> StarModel:
     """Construct the fragment model of p.
 
     Atoms come from the subbase plus one singleton per sample, so each
@@ -157,12 +157,12 @@ def build_star(p: SpacePresentation, cap: int | None = None) -> StarModel:
     the star masks of the fragment topology, i.e. of the closure of the
     subbase under intersection and union with the empty and full sets.
     """
-    cap = GENERATOR_CAP if cap is None else cap
     singles = tuple(DefSet.from_members(p.ground, (s,)) for s in p.samples)
     gens = p.subbase + singles
-    if len(gens) > cap:
-        raise AtomCapExceeded(f"{len(gens)} generators (subbase + samples) exceed cap {cap}")
-    atoms = tuple(atoms_of(AlgebraBasis(gens, cap=cap), p.ground))
+    if len(gens) > GENERATOR_CAP:
+        raise AtomCapExceeded(
+            f"{len(gens)} generators (subbase + samples) exceed cap {GENERATOR_CAP}")
+    atoms = tuple(atoms_of(AlgebraBasis(gens), p.ground))
     index = {a: i for i, a in enumerate(atoms)}
     n = len(atoms)
     frame = Frame.of(atoms)
@@ -468,9 +468,7 @@ def _check_range(f: DefMap, dst: Ground) -> None:
                 raise GroundMismatch(f"a shift rule cannot land inside {dst!r}")
 
 
-def star_map(f: DefMap, src: SpacePresentation, dst: SpacePresentation,
-             src_model: StarModel | None = None,
-             dst_model: StarModel | None = None) -> StarMap:
+def star_map(f: DefMap, sm: StarModel, dm: StarModel) -> StarMap:
     """Extend f to atoms: each source atom goes to the unique target atom
     with the same membership signature across the target generators'
     preimages.  Verifies sample preservation and that every preimage stays
@@ -483,17 +481,14 @@ def star_map(f: DefMap, src: SpacePresentation, dst: SpacePresentation,
     nonempty cells of the generators, and f(p) lies in the target ground,
     so the target atom holding f(p) has that signature.
     """
+    src, dst = sm.presentation, dm.presentation
     if f.ground != src.ground:
         raise GroundMismatch(f"map over {f.ground!r}, source over {src.ground!r}")
     _check_range(f, dst.ground)
     for s in src.samples:
         if f(s) not in dst.samples:
             raise SampleImageNotSample(s, f(s))
-    sm = src_model if src_model is not None else build_star(src)
-    dm = dst_model if dst_model is not None else build_star(dst)
-    if sm.presentation != src or dm.presentation != dst:
-        raise ValueError("supplied models do not match the presentations")
-    dst_gens = dm.presentation.subbase + tuple(
+    dst_gens = dst.subbase + tuple(
         DefSet.from_members(dst.ground, (s,)) for s in dst.samples)
     pre_masks = []
     for j, gen in enumerate(dst_gens):
@@ -517,13 +512,9 @@ def star_map(f: DefMap, src: SpacePresentation, dst: SpacePresentation,
     return StarMap(sm, dm, tuple(atom_map), continuous)
 
 
-def fragment_continuous(f: DefMap, src: SpacePresentation, dst: SpacePresentation,
-                        src_model: StarModel | None = None,
-                        dst_model: StarModel | None = None) -> bool:
+def fragment_continuous(f: DefMap, sm: StarModel, dm: StarModel) -> bool:
     """Ground-level continuity: preimages of target fragment opens are source
     fragment opens (as definable sets)."""
-    sm = src_model if src_model is not None else build_star(src)
-    dm = dst_model if dst_model is not None else build_star(dst)
     src_opens = {sm.union_of(o) for o in sm.space.opens}
     for o in dm.space.opens:
         if ds_preimage(f, dm.union_of(o)) not in src_opens:

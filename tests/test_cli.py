@@ -155,13 +155,15 @@ def test_exit_two_on_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_exit_two_on_atom_cap(monkeypatch, capsys):
-    monkeypatch.setenv("TOPOLAB_ATOM_CAP", "3")
-    assert main(["check", str(PRES / "upper_n.top")]) == 2
-    assert "exceed cap 3" in capsys.readouterr().err
-    monkeypatch.setenv("TOPOLAB_ATOM_CAP", "many")
-    assert main(["check", str(PRES / "upper_n.top")]) == 2
-    assert "not a number" in capsys.readouterr().err
+def test_exit_two_on_atom_cap(tmp_path, capsys):
+    # 16 subbase sets and one sample: one generator past the cap
+    path = tmp_path / "wide.top"
+    path.write_text("ground omega\n"
+                    + "".join(f"set S{i} = {{{i}}}\n" for i in range(16))
+                    + "subbase " + " ".join(f"S{i}" for i in range(16)) + "\nsamples 20\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 17 generators (subbase + samples) exceed cap 16\n")
 
 
 def test_exit_two_on_wide_dyad_closure(capsys):
@@ -424,30 +426,36 @@ def test_traced_runs_match_untraced_runs(tmp_path, capsys):
 
 
 def test_one_model_and_one_embedding_per_dcomp_command(tmp_path, capsys):
-    # the handler's model serves the crosscheck and the side diagram, and
-    # its embedding serves the crosscheck
-    path = str(PRES / "upper_n.top")
+    # every file command builds one model, which also serves the side
+    # diagram; dcomp's embedding serves the crosscheck; and retract runs no
+    # reflection, as its continuity is a theorem
+    path = str(PRES / "n_inf.top")
     side = tmp_path / "side.dot"
-    tracer = _load_spans().Tracer()
-    tracer.install()
-    try:
-        rc = topolab.cli.main(["dcomp", path, "--format", "structured"])
-        plain = capsys.readouterr().out
-        calls = dict(tracer.aggregate()["calls"])
-        rc_dot = topolab.cli.main(["dcomp", path, "--format", "structured",
-                                   "--dot", str(side)])
-        with_dot = capsys.readouterr().out
-        calls_dot = tracer.aggregate()["calls"]
-    finally:
-        tracer.uninstall()
-    assert rc == rc_dot == 0
-    assert calls["star.build_star"] == 1 and calls["dcomp.dcomp_embed"] == 1
-    assert calls_dot["star.build_star"] == 2 and calls_dot["dcomp.dcomp_embed"] == 2
-    doc, doc_dot = json.loads(plain), json.loads(with_dot)
+    argvs = {command: [command, path]
+             for command in ("check", "star", "reflect", "beta", "beta2", "retract", "dcomp")}
+    argvs["dot"] = ["dot", path, "--out", str(tmp_path / "m.dot")]
+    argvs["dcomp --dot"] = ["dcomp", path, "--dot", str(side)]
+    spans = _load_spans()
+    calls, docs = {}, {}
+    for name, argv in argvs.items():
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            rc = topolab.cli.main(argv + ["--format", "structured"])  # the patched binding
+        finally:
+            tracer.uninstall()
+        assert rc == 0, name
+        calls[name] = tracer.aggregate()["calls"]
+        docs[name] = json.loads(capsys.readouterr().out)
+        assert calls[name].get("star.build_star", 0) == 1, name
+    assert calls["retract"].get("reflect.retraction", 0) == 1
+    assert calls["retract"].get("reflect.t0_reflection", 0) == 0
+    assert calls["dcomp"].get("dcomp.dcomp_embed", 0) == 1
+    assert calls["dcomp --dot"].get("dcomp.dcomp_embed", 0) == 1
+    doc, doc_dot = docs["dcomp"], docs["dcomp --dot"]
     assert doc_dot["items"] == doc["items"] + [
         {"name": "dot-written", "status": "info", "detail": str(side), "witness": ""}]
     assert doc_dot["summary"] == doc["summary"]
-    assert main(["dot", path, "--out", str(tmp_path / "m.dot")]) == 0
     assert side.read_text() == (tmp_path / "m.dot").read_text()
 
 

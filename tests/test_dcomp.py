@@ -33,6 +33,11 @@ from topolab.star import SpacePresentation, build_star
 PRES = Path(__file__).resolve().parent.parent / "presentations"
 
 
+def _embed(p):
+    """The canonical embedding of p's model."""
+    return dcomp_embed(build_star(p), dyad_family_of(p))
+
+
 def test_dyad_is_sierpinski_with_open_origin():
     assert DYAD == FinSpace(2, (0, 1, 3))
     assert DYAD.is_open(0b01) and not DYAD.is_open(0b10)
@@ -44,24 +49,24 @@ def test_family_validation():
                     DefSet.from_members(Ground(4), [0])))
     fam = DyadFamily(tuple(DefSet.from_members(OMEGA, [i]) for i in range(17)))
     with pytest.raises(FamilyTooLarge):
-        dcomp_embed(sierpinski_presentation(), fam)
+        dcomp_embed(build_star(sierpinski_presentation()), fam)
 
 
 def test_canonical_family_continuous(corpus_models):
     for name, p, m in corpus_models:
-        assert check_family_continuous(p, dyad_family_of(p), model=m), name
+        assert check_family_continuous(m, dyad_family_of(p)), name
 
 
 def test_noncontinuous_and_nonalgebra_members():
-    p = chain_fragment(3)
+    m = build_star(chain_fragment(3))
     stray = DyadFamily((DefSet.from_members(OMEGA, [2]),))  # in algebra, not open
-    assert not check_family_continuous(p, stray)
+    assert not check_family_continuous(m, stray)
     with pytest.raises(NotInAlgebra):
-        dcomp_embed(p, DyadFamily((DefSet.from_members(OMEGA, [1, 4]),)))
+        dcomp_embed(m, DyadFamily((DefSet.from_members(OMEGA, [1, 4]),)))
 
 
 def test_embed_chain3():
-    e = dcomp_embed(chain_fragment(3), dyad_family_of(chain_fragment(3)))
+    e = _embed(chain_fragment(3))
     assert e.image_vectors == (0, 1, 3, 7)
     assert e.closure_vectors == tuple(range(8))
     assert e.eval == (0, 1, 2)
@@ -71,24 +76,21 @@ def test_embed_chain3():
 
 
 def test_embed_sierpinski():
-    p = sierpinski_presentation()
-    e = dcomp_embed(p, dyad_family_of(p))
+    e = _embed(sierpinski_presentation())
     assert e.image_vectors == e.closure_vectors == (0, 1)
     assert e.image == e.closure
     assert iso_check(e.image, DYAD) is not None
 
 
 def test_embed_partition2():
-    p = partition_fragment(2)
-    e = dcomp_embed(p, dyad_family_of(p))
+    e = _embed(partition_fragment(2))
     assert e.image_vectors == (1, 2) and e.closure_vectors == (1, 2, 3)
     assert e.eval == (1, 0)
     assert e.image.opens == (0, 1, 2, 3)  # two evaluation classes, separated
 
 
 def test_embed_empty_family():
-    p = SpacePresentation(OMEGA, (), (0,))
-    e = dcomp_embed(p, dyad_family_of(p))
+    e = _embed(SpacePresentation(OMEGA, (), (0,)))
     assert e.image_vectors == (0,) and e.image == FinSpace(1, (0, 1))
     assert e.eval == (0,)
 
@@ -100,7 +102,7 @@ def test_embed_empty_family():
 def test_closure_matches_full_cube_oracle(p):
     # independent oracle: compute the whole dyad power as one finite space
     # and take the ordinary closure of the image points inside it
-    e = dcomp_embed(p, dyad_family_of(p))
+    e = _embed(p)
     k = len(e.family.maps)
     cube = generate_topology(
         1 << k, [sum(1 << v for v in range(1 << k) if not (v >> i) & 1)
@@ -117,7 +119,7 @@ def test_image_vectors_inside_closure(corpus_models):
     for name, p, m in corpus_models:
         fam = dyad_family_of(p)
         try:
-            e = dcomp_embed(p, fam, model=m)
+            e = dcomp_embed(m, fam)
         except SizeCapExceeded:
             continue  # closure too wide for a finite space; capped by contract
         assert set(e.image_vectors) <= set(e.closure_vectors), name
@@ -138,25 +140,24 @@ def test_vectors_match_the_full_scan(corpus_models):
         image, closure_vectors = dyad_vectors_by_scan(m, fam)
         if len(closure_vectors) > MAX_POINTS:
             with pytest.raises(SizeCapExceeded, match="dyad closure"):
-                dcomp_embed(p, fam, model=m)
+                dcomp_embed(m, fam)
             refused.append(name)
             continue
-        e = dcomp_embed(p, fam, model=m)
+        e = dcomp_embed(m, fam)
         assert (e.image_vectors, e.closure_vectors) == (image, closure_vectors), name
     assert "discrete_n.top" in refused and len(refused) < len(corpus_models + shipped)
 
 
 def test_eval_injective_iff_samples_monad_separated():
     from topolab.fintop import monad
-    from topolab.star import build_star
     cases = [chain_fragment(3), pointed_chain_fragment(2), partition_fragment(2),
              SpacePresentation(OMEGA, partition_fragment(2).subbase, (0, 1, 2, 3))]
     for p in cases:
         m = build_star(p)
-        e = dcomp_embed(p, dyad_family_of(p), model=m)
+        e = dcomp_embed(m, dyad_family_of(p))
         separated = len({monad(m.space, a) for a in m.embedding}) == len(m.embedding)
         assert (len(set(e.eval)) == len(e.eval)) == separated
-    big = dcomp_embed(cases[3], dyad_family_of(cases[3]))
+    big = _embed(cases[3])
     assert big.eval == (1, 0, 1, 0)  # evens collapse, odds collapse
 
 
@@ -165,13 +166,10 @@ def test_eval_injective_iff_samples_monad_separated():
     pointed_chain_fragment(3), partition_fragment(2), sierpinski_presentation(),
 ])
 def test_crosscheck_embeds_and_matches(p):
-    rep = dcomp_crosscheck(p)
+    m = build_star(p)
+    rep = dcomp_crosscheck(m, dcomp_embed(m, dyad_family_of(p)))
     assert rep.homeomorphic
     assert rep.iso is not None and sorted(rep.iso) == list(range(rep.target.n))
-    m = build_star(p)
-    emb = dcomp_embed(p, dyad_family_of(p), model=m)
-    assert dcomp_crosscheck(p, model=m) == rep
-    assert dcomp_crosscheck(p, model=m, embedding=emb) == rep
 
 
 def test_certificate_agrees_with_the_homeomorphism_search(named_models):
@@ -181,10 +179,10 @@ def test_certificate_agrees_with_the_homeomorphism_search(named_models):
     for name, m in named_models:
         p = m.presentation
         try:
-            emb = dcomp_embed(p, dyad_family_of(p), model=m)
+            emb = dcomp_embed(m, dyad_family_of(p))
         except SizeCapExceeded:
             continue
-        rep = dcomp_crosscheck(p, model=m, embedding=emb)
+        rep = dcomp_crosscheck(m, emb)
         assert rep.homeomorphic == (iso_check(rep.target, rep.image) is not None), name
         assert rep.homeomorphic, name
         mapped = {sum(1 << rep.iso[x] for x in range(rep.target.n) if (o >> x) & 1)
@@ -200,13 +198,13 @@ def test_certificate_agrees_with_the_homeomorphism_search(named_models):
 ])
 def test_crosscheck_rejects_a_family_that_drops_a_subbase_set(p):
     m = build_star(p)
-    emb = dcomp_embed(p, DyadFamily(p.subbase[:-1]), model=m)
-    rep = dcomp_crosscheck(p, model=m, embedding=emb)
+    rep = dcomp_crosscheck(m, dcomp_embed(m, DyadFamily(p.subbase[:-1])))
     assert not rep.homeomorphic and rep.iso is None
     assert iso_check(rep.target, rep.image) is None
 
 
 def test_crosscheck_cap_on_wide_closure():
-    # six generators blow the closure past the finite-space point cap
+    # six generators blow the closure past the finite-space point cap, so
+    # the embedding the crosscheck needs is refused
     with pytest.raises(SizeCapExceeded):
-        dcomp_crosscheck(discrete_fragment(3))
+        _embed(discrete_fragment(3))

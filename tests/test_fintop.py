@@ -25,7 +25,6 @@ from topolab.fintop import (
     iso_check,
     monad,
     property_report,
-    specialization,
     subspace,
 )
 from topolab.reflect import t0_reflection
@@ -115,10 +114,11 @@ def test_monad_examples():
 
 
 def test_specialization_examples():
-    assert specialization(SIERP).leq == (0b01, 0b11)
-    assert specialization(SIERP).holds(1, 0) and not specialization(SIERP).holds(0, 1)
-    assert specialization(INDISCRETE2).leq == (3, 3)
-    assert specialization(DISCRETE2).leq == (1, 2)
+    # the specialization order x <= y (x in cl{y}) is y in monad(x)
+    assert SIERP._monads == (0b01, 0b11)
+    assert (monad(SIERP, 1) >> 0) & 1 and not (monad(SIERP, 0) >> 1) & 1
+    assert INDISCRETE2._monads == (3, 3)
+    assert DISCRETE2._monads == (1, 2)
 
 
 def test_subspace():
@@ -162,13 +162,14 @@ def test_monad_is_minimum_open(enumerations):
 
 
 def test_leq_agrees_with_closure(enumerations):
-    # row masks come from monads; recompute from point closures independently
+    # the specialization order read off the monads, against point closures
+    # taken from the opens
     for spaces in enumerations.values():
         for s in spaces:
-            leq = specialization(s).leq
             for x in range(s.n):
                 for y in range(s.n):
-                    assert ((leq[x] >> y) & 1) == ((closure(s, 1 << y) >> x) & 1)
+                    in_cl = (oracles.closure_by_opens(s.n, s.opens, 1 << y) >> x) & 1
+                    assert ((monad(s, x) >> y) & 1) == in_cl
 
 
 # -- property report ------------------------------------------------------
@@ -438,7 +439,7 @@ def test_iso_agrees_with_permutation_search_on_the_corpus(corpus_models):
 
 def test_hasse_dot_chain():
     chain3 = generate_topology(3, [1, 3])
-    assert hasse_dot(specialization(chain3)) == (
+    assert hasse_dot(chain3) == (
         "digraph hasse {\n"
         "  rankdir=BT;\n"
         '  n0 [label="0"];\n'
@@ -451,7 +452,7 @@ def test_hasse_dot_chain():
 
 
 def test_hasse_dot_merges_classes_and_skips_transitive_edges():
-    out = hasse_dot(specialization(INDISCRETE2), labels=["a", "b"])
+    out = hasse_dot(INDISCRETE2, labels=["a", "b"])
     assert 'n0 [label="a = b"]' in out and "->" not in out
-    out = hasse_dot(specialization(CHAIN4))
+    out = hasse_dot(CHAIN4)
     assert "n3 -> n2;" in out and "n3 -> n0;" not in out

@@ -244,7 +244,7 @@ def test_retraction_on_pointed_chain():
     r = retraction(m)
     assert r.assign == (frozenset({1}), frozenset({2}), frozenset({3}),
                         frozenset({0}), frozenset({0}))
-    assert r.continuous
+    assert retraction_continuous_by_opens(m, r)
 
 
 def test_retraction_on_finite_discrete_is_identity():
@@ -252,7 +252,7 @@ def test_retraction_on_finite_discrete_is_identity():
     r = retraction(m)
     for pos, s in enumerate(m.presentation.samples):
         assert r.assign[m.embedding[pos]] == {s}
-    assert r.continuous
+    assert retraction_continuous_by_opens(m, r)
 
 
 def test_no_retraction_on_discrete_fragment():
@@ -281,12 +281,17 @@ def test_retraction_consistent_with_t0_assignment(corpus_models):
 
 
 def test_retraction_continuity_matches_the_preimage_of_every_open(named_models):
+    # continuity is a theorem (see `retraction`), so the oracle must agree
+    # on every retraction
+    retracted = 0
     for name, m in named_models:
         try:
             r = retraction(m)
         except NoRetraction:
             continue
-        assert r.continuous == retraction_continuous_by_opens(m, r), name
+        assert retraction_continuous_by_opens(m, r), name
+        retracted += 1
+    assert retracted > 0
 
 
 # -- universal property ---------------------------------------------------------

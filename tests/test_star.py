@@ -111,8 +111,11 @@ def test_finite_discrete_model_is_the_space_itself():
 
 
 def test_atom_cap():
-    with pytest.raises(AtomCapExceeded):
-        build_star(discrete_fragment(3), cap=5)
+    # 16 subbase sets and one sample: 17 generators, one past the cap
+    ground = Ground(20)
+    subbase = tuple(DefSet.from_members(ground, (i,)) for i in range(16))
+    with pytest.raises(AtomCapExceeded, match="17 generators .* exceed cap 16"):
+        build_star(SpacePresentation(ground, subbase, (19,)))
 
 
 def test_model_monads(chain3):
@@ -394,14 +397,14 @@ def test_identity_induces_identity():
     for name, f, src, dst in corpus_maps():
         if not name.startswith("id_"):
             continue
-        sm = star_map(f, src, dst)
+        sm = star_map(f, build_star(src), build_star(dst))
         assert sm.atom_map == tuple(range(len(sm.atom_map))), name
         assert sm.continuous
 
 
 def test_shift_map_on_chained_fragments():
     f = DefMap.shift(OMEGA, 1)
-    sm = star_map(f, chain_fragment(3), chain_fragment(3, shift=1))
+    sm = star_map(f, build_star(chain_fragment(3)), build_star(chain_fragment(3, shift=1)))
     # atoms {1},{2},{3},{0}|tail(4) land on {2},{3},{4},rest
     assert sm.atom_map == (0, 1, 2, 3)
     assert sm.continuous
@@ -409,9 +412,9 @@ def test_shift_map_on_chained_fragments():
 
 def test_collapse_map_is_constant_to_infinity():
     f = DefMap.constant(OMEGA, 0)
-    src, dst = chain_fragment(3), pointed_chain_fragment(3)
-    sm = star_map(f, src, dst)
-    infinity = build_star(dst).atom_of_sample(0)
+    dst = build_star(pointed_chain_fragment(3))
+    sm = star_map(f, build_star(chain_fragment(3)), dst)
+    infinity = dst.atom_of_sample(0)
     assert sm.atom_map == (infinity,) * 4
     assert sm.continuous
 
@@ -421,13 +424,14 @@ def test_functoriality_composition():
     f, src1, mid1 = maps["shift_chain3"]
     g, mid2, dst2 = maps["shift_chain3_again"]
     assert mid1 == mid2
+    src1, mid1, dst2 = build_star(src1), build_star(mid1), build_star(dst2)
     left = star_map(dm_compose(g, f), src1, dst2)
     a = star_map(f, src1, mid1)
-    b = star_map(g, mid2, dst2)
+    b = star_map(g, mid1, dst2)
     assert left.atom_map == tuple(b(a(i)) for i in range(len(a.atom_map)))
 
     c = DefMap.constant(OMEGA, 0)
-    pointed = pointed_chain_fragment(3)
+    pointed = build_star(pointed_chain_fragment(3))
     left = star_map(dm_compose(c, f), src1, pointed)
     right_outer = star_map(c, mid1, pointed)
     assert left.atom_map == tuple(right_outer(a(i)) for i in range(len(a.atom_map)))
@@ -436,25 +440,23 @@ def test_functoriality_composition():
 def test_star_map_preimage_identity():
     # the proof identity: preimage of star(B) equals star of preimage(B)
     for name, f, src, dst in corpus_maps():
-        sm = star_map(f, src, dst)
-        src_model, dst_model = sm.src, sm.dst
+        src_model, dst_model = build_star(src), build_star(dst)
+        sm = star_map(f, src_model, dst_model)
         for mask in range(1 << len(dst_model.atoms)):
             b = dst_model.union_of(mask)
             assert sm.preimage_mask(mask) == star_of(src_model, ds_preimage(f, b)), name
 
 
 def test_star_map_error_cases():
+    chain2, chain3 = build_star(chain_fragment(2)), build_star(chain_fragment(3))
     with pytest.raises(SampleImageNotSample):
-        star_map(DefMap.shift(OMEGA, 1), chain_fragment(3), chain_fragment(3))
+        star_map(DefMap.shift(OMEGA, 1), chain3, chain3)
     parity = DefMap(OMEGA, (), (("const", 0), ("const", 1)))
     with pytest.raises(PreimageNotInAlgebra) as e:
-        star_map(parity, chain_fragment(2), partition_fragment(2))
+        star_map(parity, chain2, build_star(partition_fragment(2)))
     assert e.value.generator_index == 0
     with pytest.raises(GroundMismatch):
-        star_map(DefMap.identity(Ground(3)), chain_fragment(2), chain_fragment(2))
-    with pytest.raises(ValueError):
-        star_map(DefMap.identity(OMEGA), chain_fragment(2), chain_fragment(2),
-                 src_model=build_star(chain_fragment(3)))
+        star_map(DefMap.identity(Ground(3)), chain2, chain2)
 
 
 def test_star_map_continuity_matches_the_preimage_of_every_open():
@@ -471,7 +473,7 @@ def test_star_map_continuity_matches_the_preimage_of_every_open():
     cases.append((DefMap.constant(shifted.ground, 0), shifted, pointed_chain_fragment(3)))
     seen = set()
     for f, src, dst in cases:
-        sm = star_map(f, src, dst)
+        sm = star_map(f, build_star(src), build_star(dst))
         assert sm.continuous == oracles.continuous_by_opens(sm.src.space, sm.dst.space,
                                                             sm.atom_map)
         seen.add(sm.continuous)
@@ -485,8 +487,8 @@ def test_continuity_equivalence_on_corpus():
                   chain_fragment(3), discrete_fragment(3)))
     seen_discontinuous = False
     for name, f, src, dst in cases:
-        sm = star_map(f, src, dst)
-        ok = fragment_continuous(f, src, dst)
+        sm = star_map(f, build_star(src), build_star(dst))
+        ok = fragment_continuous(f, sm.src, sm.dst)
         assert ok == sm.continuous, name
         seen_discontinuous |= not ok
     assert seen_discontinuous  # the identity into the discrete fragment breaks
