@@ -85,8 +85,8 @@ __version__ = "0.1.0"
 # reflect loads numpy, which most commands never run: its names resolve on
 # first use (PEP 562)
 _REFLECT_NAMES = {
-    "QuotientMap", "RetractionMap", "SweepReport", "adherence", "beta_fragment", "beta2_fragment",
-    "retraction", "t0_reflection", "t2_reflection", "weak_reflection_sweep"}
+    "QuotientMap", "RetractionMap", "SweepReport", "adherence", "retraction",
+    "t0_reflection", "t2_reflection", "weak_reflection_sweep"}
 
 
 def __getattr__(name):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import NoRetraction
-from .fintop import FinSpace, _classes_by_key, enumerate_topologies, monad
-from .star import SpacePresentation, StarModel, build_star, model_monad
+from .fintop import FinSpace, _classes_by_key, enumerate_topologies
+from .star import StarModel, model_monad
 
 
 @dataclass(frozen=True)
@@ -113,21 +113,6 @@ def t2_reflection(s: FinSpace) -> QuotientMap:
     return QuotientMap(s, FinSpace(k, (), [1 << c for c in range(k)]), tuple(assign))
 
 
-def beta_fragment(p: SpacePresentation) -> tuple[StarModel, QuotientMap]:
-    """Fragment analogue of the largest compactification: the T2 reflection
-    of the star model."""
-    m = build_star(p)
-    return m, t2_reflection(m.space)
-
-
-def beta2_fragment(p: SpacePresentation) -> tuple[StarModel, QuotientMap]:
-    """Fragment analogue of the T0 compactification: the T0 reflection of
-    the star model.  The target always passes t0, compact, locally_compact
-    and supercompact."""
-    m = build_star(p)
-    return m, t0_reflection(m.space)
-
-
 def adherence(m: StarModel, atom: int) -> frozenset[int]:
     """Samples adherent to the ultrafilter trace of an atom: every
     fragment-open neighbourhood of the sample meets every algebra member
@@ -149,11 +134,6 @@ class RetractionMap:
 
     model: StarModel
     assign: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        for pos, s in enumerate(self.model.presentation.samples):
-            if s not in self.assign[self.model.embedding[pos]]:
-                raise ValueError("retraction must fix the standard part")
 
 
 def retraction(m: StarModel) -> RetractionMap:
@@ -179,6 +159,11 @@ def retraction(m: StarModel) -> RetractionMap:
     continuous quotient map keeps this: r(i) lies in the closure of r(k),
     so every open around r(i) holds r(k).  Hence each target monad pulls
     back to an open.
+
+    r fixes the standard part, so that is not checked either: each sample
+    x is put in by_closure[adherence(m, η(x))], with η(x) its atom, and
+    that is exactly the class that r assigns to η(x) (which is therefore
+    never a NoRetraction witness).
     """
     samples = m.presentation.samples
     by_closure: dict[frozenset[int], list[int]] = {}
@@ -238,6 +223,27 @@ def _relabelings(n: int) -> np.ndarray:
     return rows
 
 
+def _source_classes(spaces: list[FinSpace]) -> tuple[list[int], np.ndarray]:
+    """The homeomorphism classes of spaces on the same n points: the index of
+    each class's first member, and the class index of each space.
+
+    A class is keyed by its canonical code word, the least code word (bit s
+    on iff subset-mask s is open) of the open family over every relabeling
+    of the points, a running minimum over the rows of `_relabelings(n)`.
+    The 2**n-bit code words fit in an int64 for n ≤ 5, past the enumeration
+    cap.
+    """
+    n = spaces[0].n
+    bits = np.zeros((len(spaces), 1 << n), dtype=np.int64)
+    for i, s in enumerate(spaces):
+        bits[i, list(s.opens)] = 1
+    canon = np.full(len(spaces), np.iinfo(np.int64).max)
+    for row in _relabelings(n):
+        canon = np.minimum(canon, (bits << row).sum(axis=1))
+    _, first, inverse = np.unique(canon, return_index=True, return_inverse=True)
+    return first.tolist(), inverse
+
+
 def _sweep_counts(max_n: int, kind: str) -> tuple[
         list[FinSpace], list[FinSpace], list[tuple[list[int], np.ndarray, np.ndarray]]]:
     """The sweep's labeled sources and targets, and for each homeomorphism
@@ -245,8 +251,9 @@ def _sweep_counts(max_n: int, kind: str) -> tuple[
     how many maps into the first member are continuous and how many of
     those factor through the reflection.
 
-    A class is keyed by its canonical form, the least sorted open family
-    over every relabeling of the points.
+    Only the first member of each class of sources is reflected and
+    counted (`_source_classes`); every labeled source takes its class's
+    counts.  A T0 target's class is its class as a source.
     """
     if kind not in ("t0", "t2"):
         raise ValueError("kind must be 't0' or 't2'")
@@ -254,28 +261,30 @@ def _sweep_counts(max_n: int, kind: str) -> tuple[
         raise ValueError("max_n must be at least 0")
     by_size = [list(enumerate_topologies(n)) for n in range(max_n + 1)]
     sources = [s for spaces in by_size for s in spaces]
+    reflection = t0_reflection if kind == "t0" else t2_reflection
+    batches, source_class, offset = [], [], 0
+    for n, spaces in enumerate(by_size):
+        first, inverse = _source_classes(spaces)
+        batches.append((n, _class_tables([reflection(spaces[i]) for i in first])))
+        source_class.append(inverse + offset)
+        offset += len(first)
+    source_class = np.concatenate(source_class)
     if kind == "t0":
         # T0 iff distinct points have distinct monads
-        targets = [s for s in sources if len({monad(s, x) for x in range(s.n)}) == s.n]
-        reflection = t0_reflection
+        t0 = [si for si, s in enumerate(sources) if len(set(s._monads)) == s.n]
+        targets = [sources[si] for si in t0]
+        classes, _ = _classes_by_key(source_class[t0].tolist())
     else:
         targets = [FinSpace(n, tuple(range(1 << n))) for n in range(max_n + 1)]
-        reflection = t2_reflection
-    batches = [(n, _class_tables([reflection(s) for s in spaces]))
-               for n, spaces in enumerate(by_size)]
-    relabel = [_relabelings(n) for n in range(max_n + 1)]
-    classes: dict[tuple, list[int]] = {}
-    for ti, t in enumerate(targets):
-        images = np.sort(relabel[t.n][:, list(t.opens)], axis=1)
-        classes.setdefault((t.n, min(map(tuple, images.tolist()))), []).append(ti)
+        classes, _ = _classes_by_key(range(len(targets)))
     counts = []
-    for members in classes.values():
+    for members in classes:
         t = targets[members[0]]
         monads = np.array(t._monads, dtype=np.int64)
-        per_size = [_kernels.reflection_counts(n_s, *tables, t.n, monads)[1:]
-                    for n_s, tables in batches]
-        counts.append((members, np.concatenate([c for c, _ in per_size]),
-                       np.concatenate([f for _, f in per_size])))
+        cont, fact = (np.concatenate(c) for c in zip(*(
+            _kernels.reflection_counts(n_s, *tables, t.n, monads)[1:]
+            for n_s, tables in batches)))
+        counts.append((members, cont[source_class], fact[source_class]))
     return sources, targets, counts
 
 
@@ -288,15 +297,28 @@ def weak_reflection_sweep(max_n: int = 4, kind: str = "t0") -> SweepReport:
     against all sources of one size at once, and runs once per
     homeomorphism class of targets (25 classes for the 243 T0 targets at
     max_n = 4): each count is weighted by the class size, and a failing
-    source is reported against every labeled member of the class.
+    source is reported against every labeled member of the class.  The
+    sources run by class too: only the first member of each of the 47
+    classes of the 390 sources at max_n = 4 is reflected and counted, and
+    every labeled source takes its class's counts.
 
-    This is exact.  Let h: T → T′ be a homeomorphism and q: S → Q the
-    reflection of a source S.  Composing with h is a bijection from the
-    continuous maps S → T onto the continuous maps S → T′, with inverse
-    composing with h⁻¹.  If f = F∘q with F: Q → T continuous, then
-    h∘f = (h∘F)∘q with h∘F continuous; conversely h∘f = G∘q gives
-    f = (h⁻¹∘G)∘q.  So the pair (S, T′) has as many continuous and as
-    many factored maps as (S, T).
+    This is exact on the target side.  Let h: T → T′ be a homeomorphism
+    and q: S → Q the reflection of a source S.  Composing with h is a
+    bijection from the continuous maps S → T onto the continuous maps
+    S → T′, with inverse composing with h⁻¹.  If f = F∘q with F: Q → T
+    continuous, then h∘f = (h∘F)∘q with h∘F continuous; conversely
+    h∘f = G∘q gives f = (h⁻¹∘G)∘q.  So the pair (S, T′) has as many
+    continuous and as many factored maps as (S, T).
+
+    It is exact on the source side.  Let σ: S → S′ be a homeomorphism.
+    Then f ↦ f∘σ⁻¹ is a bijection from the continuous maps S → T onto the
+    continuous maps S′ → T, with inverse f′ ↦ f′∘σ.  Both reflections
+    collapse points by a relation that homeomorphisms keep (equal monads,
+    specialization connectivity), so the reflection q′: S′ → Q′ is q
+    relabeled by σ: q′∘σ = ρ∘q for a homeomorphism ρ: Q → Q′.  Then
+    f = F∘q iff f∘σ⁻¹ = (F∘ρ⁻¹)∘q′, and F∘ρ⁻¹ is continuous iff F is, so
+    f factors iff f∘σ⁻¹ does, and the pair (S′, T) has as many continuous
+    and as many factored maps as (S, T).
 
     `nonunique_pairs` is always empty: a `QuotientMap` is onto (its
     constructor rejects anything else), so a factoring map is forced on

@@ -16,7 +16,7 @@ from topolab.corpus import (
 from topolab.dcomp import dcomp_crosscheck, dcomp_embed, dyad_family_of
 from topolab.errors import NoRetraction
 from topolab.fintop import iso_check, property_report
-from topolab.reflect import beta2_fragment, retraction, weak_reflection_sweep
+from topolab.reflect import retraction, t0_reflection, weak_reflection_sweep
 from topolab.star import (
     algebra_sets,
     build_star,
@@ -109,7 +109,7 @@ def test_c04_chain_tail_has_one_neighbourhood(capsys):
 def test_c05_beta2_of_chains(capsys):
     failures = []
     for k in range(1, 5):
-        _, q = beta2_fragment(chain_fragment(k))
+        q = t0_reflection(build_star(chain_fragment(k)).space)
         if iso_check(q.target, chain_space(k + 1)) is None:
             failures.append(f"k={k}: target has opens {q.target.opens}")
     _verdict(capsys, 5, "beta2 of k-chain is the (k+1)-chain", failures)

@@ -508,9 +508,8 @@ def test_enumeration_and_reflections_load_numpy(argv):
 def test_reflection_names_resolve_lazily_from_the_package():
     import topolab
     import topolab.reflect
-    names = ("QuotientMap", "RetractionMap", "SweepReport", "adherence", "beta_fragment",
-             "beta2_fragment", "retraction", "t0_reflection", "t2_reflection",
-             "weak_reflection_sweep")
+    names = ("QuotientMap", "RetractionMap", "SweepReport", "adherence", "retraction",
+             "t0_reflection", "t2_reflection", "weak_reflection_sweep")
     for name in names:
         assert getattr(topolab, name) is getattr(topolab.reflect, name)
     from topolab import t0_reflection

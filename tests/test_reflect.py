@@ -23,13 +23,12 @@ from topolab.corpus import (
     presentation_of_space,
     sierpinski_presentation,
 )
-from topolab.fintop import FinSpace, closure, iso_check, property_report
+from topolab.fintop import FinSpace, closure, enumerate_topologies, iso_check, property_report
 from topolab.reflect import (
     QuotientMap,
     _sweep_counts,
+    _source_classes,
     adherence,
-    beta2_fragment,
-    beta_fragment,
     retraction,
     t0_reflection,
     t2_reflection,
@@ -140,34 +139,37 @@ def test_reflections_idempotent(enumerations):
 # -- fragment compactifications -----------------------------------------------
 
 def test_beta_examples():
-    m, q = beta_fragment(discrete_fragment(3))
+    m = build_star(discrete_fragment(3))
+    q = t2_reflection(m.space)
     assert len(m.atoms) == 4 and len(m.space.opens) == 16
     assert q.is_identity
 
-    m, q = beta_fragment(finite_discrete(3))
+    m = build_star(finite_discrete(3))
+    q = t2_reflection(m.space)
     assert q.is_identity and iso_check(q.target, m.space) is not None
 
-    m, q = beta_fragment(chain_fragment(3))
+    q = t2_reflection(build_star(chain_fragment(3)).space)
     assert q.target.n == 1  # the chain model is order-connected
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_beta2_of_chain_is_longer_chain(k):
-    m, q = beta2_fragment(chain_fragment(k))
+    q = t0_reflection(build_star(chain_fragment(k)).space)
     assert q.target.n == k + 1
     assert iso_check(q.target, chain_space(k + 1)) is not None
 
 
 def test_beta2_fixed_points():
-    m, q = beta2_fragment(sierpinski_presentation())
+    q = t0_reflection(build_star(sierpinski_presentation()).space)
     assert q.is_identity and iso_check(q.target, SIERP) is not None
-    m, q = beta2_fragment(pointed_chain_fragment(3))
+    q = t0_reflection(build_star(pointed_chain_fragment(3)).space)
     assert q.target.n == 4 and iso_check(q.target, chain_space(4)) is not None
 
 
 def test_beta2_of_pointed_chain_not_identity():
     # the infinity sample and the tail atom share every neighbourhood
-    m, q = beta2_fragment(pointed_chain_fragment(3))
+    m = build_star(pointed_chain_fragment(3))
+    q = t0_reflection(m.space)
     tail = 4
     assert q.assign[m.atom_of_sample(0)] == q.assign[tail]
 
@@ -280,6 +282,20 @@ def test_retraction_consistent_with_t0_assignment(corpus_models):
                 assert q.assign[i] == q.assign[m.atom_of_sample(x)], (name, i, x)
 
 
+def test_retraction_fixes_the_standard_part(named_models):
+    # a theorem (see `retraction`), so `retract` prints it without a check
+    retracted = 0
+    for name, m in named_models:
+        try:
+            r = retraction(m)
+        except NoRetraction:
+            continue
+        for x, a in zip(m.presentation.samples, m.embedding):
+            assert x in r.assign[a], (name, x)
+        retracted += 1
+    assert retracted > 0
+
+
 def test_retraction_continuity_matches_the_preimage_of_every_open(named_models):
     # continuity is a theorem (see `retraction`), so the oracle must agree
     # on every retraction
@@ -334,9 +350,23 @@ def test_weak_reflection_sweep_clean():
         weak_reflection_sweep(2, kind="t1")
 
 
-def test_orbit_sweep_matches_labeled_sweep_pair_by_pair():
+def _classes_are_homeomorphism_classes(spaces, members):
+    reps = [spaces[group[0]] for group in members]
+    for group in members:
+        assert all(iso_check(spaces[group[0]], spaces[i]) is not None for i in group)
+    assert all(iso_check(a, b) is None for i, a in enumerate(reps) for b in reps[i + 1:])
+
+
+def test_orbit_sweep_matches_labeled_sweep_pair_by_pair(enumerations):
     # every (source, target) pair on at most 3 points: the count for the
-    # class representative stands for each labeled member of its class
+    # class representatives stands for each labeled member of their classes
+    for n in range(4):
+        spaces = enumerations[n]
+        first, inverse = _source_classes(spaces)
+        assert [inverse[i] for i in first] == list(range(len(first)))
+        members = [[i for i, c in enumerate(inverse) if c == k] for k in range(len(first))]
+        assert [group[0] for group in members] == first
+        _classes_are_homeomorphism_classes(spaces, members)
     for max_n in range(4):
         for kind in ("t0", "t2"):
             _, targets, counts = _sweep_counts(max_n, kind)
@@ -348,13 +378,7 @@ def test_orbit_sweep_matches_labeled_sweep_pair_by_pair():
                         got[si, ti] = pair
             assert got == want
             assert weak_reflection_sweep(max_n, kind) == report
-            # the classes are exactly the homeomorphism classes
-            reps = [targets[members[0]] for members, _, _ in counts]
-            for members, _, _ in counts:
-                assert all(iso_check(targets[members[0]], targets[ti]) is not None
-                           for ti in members)
-            assert all(iso_check(a, b) is None
-                       for i, a in enumerate(reps) for b in reps[i + 1:])
+            _classes_are_homeomorphism_classes(targets, [m for m, _, _ in counts])
 
 
 def test_sweeps_at_four_points_within_two_seconds():
@@ -368,7 +392,22 @@ def test_sweeps_at_four_points_within_two_seconds():
         assert rep.unfactored_pairs == () and rep.nonunique_pairs == ()
     # 25 classes of T0 targets (partial sums of OEIS A000112), 5 discrete
     assert [len(_sweep_counts(4, kind)[2]) for kind in ("t0", "t2")] == [25, 5]
+    # 47 classes of sources (OEIS A001930)
+    sizes = [len(_source_classes(list(enumerate_topologies(n)))[0]) for n in range(5)]
+    assert sizes == [1, 1, 3, 9, 33]
     assert elapsed < 2.0
+
+
+def test_sweep_reflects_one_source_per_class(monkeypatch):
+    import topolab.reflect as reflect
+    calls = []
+    for name in ("t0_reflection", "t2_reflection"):
+        original = getattr(reflect, name)
+        monkeypatch.setattr(reflect, name,
+                            lambda s, original=original, name=name: calls.append(name) or original(s))
+    for kind in ("t0", "t2"):
+        weak_reflection_sweep(4, kind)
+    assert calls == ["t0_reflection"] * 47 + ["t2_reflection"] * 47
 
 
 def test_weak_reflection_sweep_refuses_negative_sizes():
