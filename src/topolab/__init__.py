@@ -26,7 +26,6 @@ from .setalg import (
     GENERATOR_CAP,
     OMEGA,
     PERIOD_CAP,
-    AlgebraBasis,
     DefSet,
     Ground,
     SetRelation,
@@ -39,6 +38,7 @@ from .setalg import (
 from .fintop import (
     FinSpace,
     PropertyReport,
+    QuotientMap,
     closure,
     enumerate_topologies,
     generate_topology,
@@ -48,13 +48,17 @@ from .fintop import (
     monad,
     property_report,
     subspace,
+    t0_reflection,
+    t2_reflection,
 )
 from .star import (
     CoverageReport,
     DefMap,
+    RetractionMap,
     SpacePresentation,
     StarMap,
     StarModel,
+    adherence,
     algebra_sets,
     build_star,
     density_violations,
@@ -62,6 +66,7 @@ from .star import (
     ds_preimage,
     fragment_continuous,
     model_monad,
+    retraction,
     robinson_coverage,
     sample_space,
     sandwich_violations,
@@ -81,16 +86,3 @@ from .dcomp import (
 )
 
 __version__ = "0.1.0"
-
-# reflect loads numpy, which most commands never run: its names resolve on
-# first use (PEP 562)
-_REFLECT_NAMES = {
-    "QuotientMap", "RetractionMap", "SweepReport", "adherence", "retraction",
-    "t0_reflection", "t2_reflection", "weak_reflection_sweep"}
-
-
-def __getattr__(name):
-    if name in _REFLECT_NAMES:
-        from . import reflect
-        return getattr(reflect, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,6 +33,8 @@ from .fintop import (
     hasse_dot,
     iso_check,
     property_report,
+    t0_reflection,
+    t2_reflection,
 )
 from .setalg import OMEGA, DefSet, Ground, parse_set_expr
 from .star import (
@@ -42,6 +44,7 @@ from .star import (
     build_star,
     density_violations,
     model_monad,
+    retraction,
     robinson_coverage,
     sample_space,
     sandwich_violations,
@@ -203,6 +206,11 @@ def parse_presentation(text: str) -> PresentationFile:
             if not all(v.isdigit() for v in vals):
                 raise ParseError("samples must be natural numbers", line=lineno)
             samples = tuple(int(v) for v in vals)
+            seen: set[int] = set()
+            for s in samples:
+                if s in seen:
+                    raise ParseError(f"duplicate sample {s}", line=lineno)
+                seen.add(s)
         elif head == "map":
             if ground is None:
                 raise ParseError("ground must be declared before maps", line=lineno)
@@ -400,9 +408,7 @@ def cmd_star(m: StarModel, args: argparse.Namespace, report: Report) -> None:
     _summarize(report, m)
 
 
-# reflect loads numpy, so the four commands that run it import it when they run
 def cmd_reflect(m: StarModel, args: argparse.Namespace, report: Report) -> None:
-    from .reflect import t0_reflection, t2_reflection
     kind = args.kind
     q = t0_reflection(m.space) if kind == "t0" else t2_reflection(m.space)
     rep = property_report(q.target)
@@ -418,7 +424,6 @@ def cmd_reflect(m: StarModel, args: argparse.Namespace, report: Report) -> None:
 
 
 def cmd_beta(m: StarModel, args: argparse.Namespace, report: Report) -> None:
-    from .reflect import t2_reflection
     q = t2_reflection(m.space)
     report.check("target-discrete", len(q.target.opens) == 1 << q.target.n)
     report.check("idempotent", t2_reflection(q.target).is_identity)
@@ -429,7 +434,6 @@ def cmd_beta(m: StarModel, args: argparse.Namespace, report: Report) -> None:
 
 
 def cmd_beta2(m: StarModel, args: argparse.Namespace, report: Report) -> None:
-    from .reflect import t0_reflection
     q = t0_reflection(m.space)
     rep = property_report(q.target)
     for flag in ("t0", "compact", "locally_compact", "supercompact"):
@@ -442,7 +446,6 @@ def cmd_beta2(m: StarModel, args: argparse.Namespace, report: Report) -> None:
 
 
 def cmd_retract(m: StarModel, args: argparse.Namespace, report: Report) -> None:
-    from .reflect import retraction
     try:
         r = retraction(m)
     except NoRetraction as exc:

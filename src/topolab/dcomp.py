@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FamilyTooLarge, GroundMismatch, SizeCapExceeded
-from .fintop import MAX_POINTS, FinSpace, generate_topology, is_homeomorphism
+from .fintop import MAX_POINTS, FinSpace, generate_topology, is_homeomorphism, t0_reflection
 # unused here, but topobench's tracer self-test checks that this binding is patched
 from .setalg import DefSet, ds_combine  # noqa: F401
 from .star import SpacePresentation, StarModel, star_of
@@ -150,7 +150,6 @@ def dcomp_crosscheck(m: StarModel, emb: DyadEmbedding) -> CrosscheckReport:
     are saturated), and the image of set i goes onto the cylinder
     {v : bit i of v is 0}; those cylinders generate the image's opens.
     """
-    from .reflect import t0_reflection  # loads numpy, which dcomp_embed never needs
     q = t0_reflection(m.space)
     pairs = set(zip(q.assign, _atom_signatures(m, emb.family)))
     vector_of = dict(pairs)

@@ -29,7 +29,7 @@ class PeriodOverflow(UsageError):
 
 
 class AtomCapExceeded(UsageError):
-    """An algebra basis has more generators than the configured cap."""
+    """A presentation has more generators than the generator cap."""
 
 
 class SizeCapExceeded(UsageError):

@@ -7,6 +7,12 @@ checkers reduce each quantifier over opens to a test on monads, and every
 false flag carries the witness the definition would find first; the
 definitional forms are kept in the tests as oracles.
 
+The T0 reflection collapses points with equal minimal neighbourhoods;
+the T2 reflection collapses specialization-connected components, which
+for finite spaces lands in discrete spaces in one step.  Applied to a
+star model these give the fragment versions of the two
+compactifications.
+
 The enumerator of all topologies on up to 4 points doubles as the
 brute-force oracle for the separation equivalences; the vectorized numpy
 kernel in _kernels builds it from the closed tuples of monads.
@@ -419,6 +425,93 @@ def _classes_by_key(keys: Sequence[int]) -> tuple[list[list[int]], list[int]]:
         classes[index[key]].append(x)
         assign.append(index[key])
     return classes, assign
+
+
+@dataclass(frozen=True)
+class QuotientMap:
+    """Surjective continuous point map whose target carries the final topology.
+
+    The check runs on monads.  U is final-open iff q⁻¹(U) is open.  As q is
+    onto, U ↦ q⁻¹(U) is a bijection onto the saturated source sets (unions
+    of classes), so the final opens are the images of the saturated source
+    opens.  These are closed under intersection, so the class A = q⁻¹(c)
+    has a least one above it, whose image is the final monad at c.  The
+    sets A ⊆ sat(⋃ monads of A) ⊆ ... stay inside every saturated open
+    above A, and their fixpoint is saturated and a union of monads, hence
+    open: it is that least one, reached within n steps.  Topologies on the
+    same points are equal iff their monads are.
+    """
+
+    source: FinSpace
+    target: FinSpace
+    assign: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "assign", tuple(self.assign))
+        if len(self.assign) != self.source.n:
+            raise ValueError("assign must cover every source point")
+        if set(self.assign) != set(range(self.target.n)):
+            raise ValueError("assign must be onto the target points")
+        monads = self.source._monads
+        final = []
+        for c in range(self.target.n):
+            held, grown = -1, self.preimage(1 << c)
+            while grown != held:
+                held, hull = grown, 0
+                for x, m in enumerate(monads):
+                    if (held >> x) & 1:
+                        hull |= m
+                grown = self.preimage(self.image(hull))
+            final.append(self.image(held))
+        if tuple(final) != self.target._monads:
+            raise ValueError("target does not carry the final topology")
+
+    def preimage(self, target_mask: int) -> int:
+        out = 0
+        for x, c in enumerate(self.assign):
+            if (target_mask >> c) & 1:
+                out |= 1 << x
+        return out
+
+    def image(self, source_mask: int) -> int:
+        out = 0
+        for x, c in enumerate(self.assign):
+            if (source_mask >> x) & 1:
+                out |= 1 << c
+        return out
+
+    @property
+    def is_identity(self) -> bool:
+        return self.assign == tuple(range(self.source.n))
+
+
+def t0_reflection(s: FinSpace) -> QuotientMap:
+    """Quotient by monad equality.  Opens are unions of monads, hence
+    saturated, so the monad of a class is the image of its members' monad."""
+    classes, assign = _classes_by_key(s._monads)
+    monads = [sum(1 << c for c in {assign[x] for x in range(s.n) if (s._monads[xs[0]] >> x) & 1})
+              for xs in classes]
+    return QuotientMap(s, FinSpace(len(classes), (), monads), tuple(assign))
+
+
+def t2_reflection(s: FinSpace) -> QuotientMap:
+    """Quotient by specialization connectivity.  Components are clopen in a
+    finite space, so the quotient is discrete and the map continuous."""
+    parent = list(range(s.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, mx in enumerate(s._monads):  # y in monad(x) iff x <= y
+        for y in range(s.n):
+            if (mx >> y) & 1:
+                parent[find(x)] = find(y)
+    classes, assign = _classes_by_key([find(x) for x in range(s.n)])
+    k = len(classes)
+    return QuotientMap(s, FinSpace(k, (), [1 << c for c in range(k)]), tuple(assign))
 
 
 def hasse_dot(s: FinSpace, labels: Sequence[str] | None = None) -> str:

@@ -1,16 +1,11 @@
-"""Reflections of finite spaces and the standard-part retraction.
+"""The exhaustive weak-reflection sweep.
 
-The T0 reflection collapses points with equal minimal neighbourhoods;
-the T2 reflection collapses specialization-connected components, which
-for finite spaces lands in discrete spaces in one step.  Applied to a
-star model these give the fragment versions of the two
-compactifications: the T2 reflection of the model and the T0 reflection
-of the model.
-
-The adherence of an atom is read off the monads: the samples whose monad
-holds it.  The retraction sends each atom to the samples whose closure
-matches its adherence; it fails, with the atom as witness, when no
-sample closure does.  Those samples always share one monad.
+Every continuous map from a space on at most max_n points into a T0
+(resp. discrete) space on at most max_n points must factor through the
+T0 (resp. T2) reflection of its source.  The sweep checks this for every
+pair, by homeomorphism class on both sides, with the counting kernel of
+`_kernels` over numpy tables.  The reflections themselves live in
+`fintop`, and the standard-part retraction in `star`.
 """
 from __future__ import annotations
 
@@ -21,164 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import NoRetraction
-from .fintop import FinSpace, _classes_by_key, enumerate_topologies
-from .star import StarModel, model_monad
-
-
-@dataclass(frozen=True)
-class QuotientMap:
-    """Surjective continuous point map whose target carries the final topology.
-
-    The check runs on monads.  U is final-open iff q⁻¹(U) is open.  As q is
-    onto, U ↦ q⁻¹(U) is a bijection onto the saturated source sets (unions
-    of classes), so the final opens are the images of the saturated source
-    opens.  These are closed under intersection, so the class A = q⁻¹(c)
-    has a least one above it, whose image is the final monad at c.  The
-    sets A ⊆ sat(⋃ monads of A) ⊆ ... stay inside every saturated open
-    above A, and their fixpoint is saturated and a union of monads, hence
-    open: it is that least one, reached within n steps.  Topologies on the
-    same points are equal iff their monads are.
-    """
-
-    source: FinSpace
-    target: FinSpace
-    assign: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "assign", tuple(self.assign))
-        if len(self.assign) != self.source.n:
-            raise ValueError("assign must cover every source point")
-        if set(self.assign) != set(range(self.target.n)):
-            raise ValueError("assign must be onto the target points")
-        monads = self.source._monads
-        final = []
-        for c in range(self.target.n):
-            held, grown = -1, self.preimage(1 << c)
-            while grown != held:
-                held, hull = grown, 0
-                for x, m in enumerate(monads):
-                    if (held >> x) & 1:
-                        hull |= m
-                grown = self.preimage(self.image(hull))
-            final.append(self.image(held))
-        if tuple(final) != self.target._monads:
-            raise ValueError("target does not carry the final topology")
-
-    def preimage(self, target_mask: int) -> int:
-        out = 0
-        for x, c in enumerate(self.assign):
-            if (target_mask >> c) & 1:
-                out |= 1 << x
-        return out
-
-    def image(self, source_mask: int) -> int:
-        out = 0
-        for x, c in enumerate(self.assign):
-            if (source_mask >> x) & 1:
-                out |= 1 << c
-        return out
-
-    @property
-    def is_identity(self) -> bool:
-        return self.assign == tuple(range(self.source.n))
-
-
-def t0_reflection(s: FinSpace) -> QuotientMap:
-    """Quotient by monad equality.  Opens are unions of monads, hence
-    saturated, so the monad of a class is the image of its members' monad."""
-    classes, assign = _classes_by_key(s._monads)
-    monads = [sum(1 << c for c in {assign[x] for x in range(s.n) if (s._monads[xs[0]] >> x) & 1})
-              for xs in classes]
-    return QuotientMap(s, FinSpace(len(classes), (), monads), tuple(assign))
-
-
-def t2_reflection(s: FinSpace) -> QuotientMap:
-    """Quotient by specialization connectivity.  Components are clopen in a
-    finite space, so the quotient is discrete and the map continuous."""
-    parent = list(range(s.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x, mx in enumerate(s._monads):  # y in monad(x) iff x <= y
-        for y in range(s.n):
-            if (mx >> y) & 1:
-                parent[find(x)] = find(y)
-    classes, assign = _classes_by_key([find(x) for x in range(s.n)])
-    k = len(classes)
-    return QuotientMap(s, FinSpace(k, (), [1 << c for c in range(k)]), tuple(assign))
-
-
-def adherence(m: StarModel, atom: int) -> frozenset[int]:
-    """Samples adherent to the ultrafilter trace of an atom: every
-    fragment-open neighbourhood of the sample meets every algebra member
-    holding the atom.
-
-    The atom's singleton is such a member, and a neighbourhood that meets
-    it meets them all, so these are the samples whose monad holds the atom.
-    """
-    if not 0 <= atom < len(m.atoms):
-        raise ValueError(f"atom {atom} outside the model")
-    return frozenset(s for s, a in zip(m.presentation.samples, m.embedding)
-                     if (model_monad(m, a) >> atom) & 1)
-
-
-@dataclass(frozen=True)
-class RetractionMap:
-    """Atom → class of samples with matching closure; identity on standard
-    atoms."""
-
-    model: StarModel
-    assign: tuple[frozenset[int], ...]
-
-
-def retraction(m: StarModel) -> RetractionMap:
-    """Standard-part map on atoms.
-
-    Each atom goes to the samples x whose sample closure cl{x} ∩ samples
-    equals the atom's adherence, and NoRetraction names the first atom
-    with none.  cl{x} ∩ samples is adherence(m, atom of x), since y lies
-    in cl{x} iff the atom of x lies in the monad of the atom of y.
-
-    The samples sent to one atom share a monad.  If x and y have equal
-    sample closures, x lies in cl{y} and y in cl{x}.  In a finite space
-    x in cl{y} means y in monad(x), so monad(y) ⊆ monad(x), and the
-    other way round gives equality.
-
-    The map r into the T0 quotient of the sample space (`sample_space`),
-    each atom to the class of its samples, is continuous, so it is not
-    checked.  An open is the union of the monads of its points, so it is
-    enough that k in monad(i) and r(i) in an open U put r(k) in U.  Write
-    adh for adherence.  A sample monad that holds i is open, so it holds
-    monad(i) and k: adh(k) ⊇ adh(i).  For y in r(i) and y' in r(k) that
-    reads cl{y} ⊆ cl{y'} on the samples, so y lies in cl{y'}, and the
-    continuous quotient map keeps this: r(i) lies in the closure of r(k),
-    so every open around r(i) holds r(k).  Hence each target monad pulls
-    back to an open.
-
-    r fixes the standard part, so that is not checked either: each sample
-    x is put in by_closure[adherence(m, η(x))], with η(x) its atom, and
-    that is exactly the class that r assigns to η(x) (which is therefore
-    never a NoRetraction witness).
-    """
-    samples = m.presentation.samples
-    by_closure: dict[frozenset[int], list[int]] = {}
-    for x, a in zip(samples, m.embedding):
-        by_closure.setdefault(adherence(m, a), []).append(x)
-    assign: list[frozenset[int]] = []
-    for i in range(len(m.atoms)):
-        adh = adherence(m, i)
-        if adh not in by_closure:
-            raise NoRetraction(i, f"adherence {sorted(adh)} matches no sample closure")
-        assign.append(frozenset(by_closure[adh]))
-    return RetractionMap(m, tuple(assign))
-
-
-# -- the exhaustive sweep ---------------------------------------------
+from .fintop import (
+    FinSpace,
+    QuotientMap,
+    _classes_by_key,
+    enumerate_topologies,
+    t0_reflection,
+    t2_reflection,
+)
+# unused here, but topobench's tracer looks up reflect.adherence and reflect.retraction
+from .star import adherence, retraction  # noqa: F401
 
 
 @dataclass(frozen=True)

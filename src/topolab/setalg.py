@@ -18,10 +18,9 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
-    AtomCapExceeded,
     GroundMismatch,
     OutOfGround,
     ParseError,
@@ -116,6 +115,8 @@ class DefSet:
             if self.threshold != self.ground.size or self.period != 1 or self.residues:
                 raise ValueError("finite-ground sets are plain bitmasks over the ground")
             return
+        if self.threshold > PERIOD_CAP:
+            raise PeriodOverflow(f"threshold {self.threshold} exceeds cap {PERIOD_CAP}")
         low, t, p, res = _canonical(self.low, self.threshold, self.period, self.residues)
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "threshold", t)
@@ -131,6 +132,8 @@ class DefSet:
         for m in members:
             if m not in ground:
                 raise OutOfGround(f"{m} is not in {ground!r}")
+            if m >= PERIOD_CAP and not ground.is_finite:
+                raise PeriodOverflow(f"threshold {m + 1} of point {m} exceeds cap {PERIOD_CAP}")
             mask |= 1 << m
         if ground.is_finite:
             return DefSet(ground, mask, ground.size)
@@ -340,43 +343,20 @@ def ds_compare(a: DefSet, b: DefSet) -> SetRelation:
     return SetRelation(equal, subset, superset, disjoint)
 
 
-@dataclass(frozen=True)
-class AlgebraBasis:
-    """Finite generator list for a subalgebra, at most GENERATOR_CAP long."""
-
-    generators: tuple[DefSet, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if len(self.generators) > GENERATOR_CAP:
-            raise AtomCapExceeded(
-                f"{len(self.generators)} generators exceed the cap of {GENERATOR_CAP}")
-        grounds = {g.ground for g in self.generators}
-        if len(grounds) > 1:
-            raise GroundMismatch("generators span several grounds")
-
-    @property
-    def ground(self) -> Ground | None:
-        return self.generators[0].ground if self.generators else None
-
-
-def atoms_of(basis: AlgebraBasis, ground: Ground | None = None) -> list[DefSet]:
-    """Atoms of the generated algebra, in signature order.
+def atoms_of(gens: Sequence[DefSet], ground: Ground) -> list[DefSet]:
+    """Atoms of the algebra the generators generate over the ground, in
+    signature order.
 
     Each atom is the nonempty intersection of every generator or its
     complement; the branch order (generator before complement) makes the
     output order the lexicographic order of those choice vectors.  Empty
-    partial intersections are pruned, so the cost is bounded by the atom
-    count times the generator count rather than 2**k.  An empty basis
-    yields the ground itself as the single atom, or nothing over an
-    empty ground.
+    partial intersections are pruned, and each nonempty one lies above an
+    atom, so before the atom cap refuses the descent meets at most
+    MAX_POINTS + 1 nonempty cells per level: the cost is linear in the
+    generator count rather than 2**k.  No generators yield the ground
+    itself as the single atom, or nothing over an empty ground; a
+    generator over another ground raises GroundMismatch.
     """
-    g = basis.ground or ground
-    if g is None:
-        raise ValueError("an empty basis needs an explicit ground")
-    if basis.ground is not None and ground is not None and ground != basis.ground:
-        raise GroundMismatch(f"{ground!r} vs {basis.ground!r}")
-    gens = basis.generators
     out: list[DefSet] = []
 
     def descend(i: int, cell: DefSet) -> None:
@@ -392,7 +372,7 @@ def atoms_of(basis: AlgebraBasis, ground: Ground | None = None) -> list[DefSet]:
         descend(i + 1, ds_combine("inter", cell, gens[i]))
         descend(i + 1, ds_combine("diff", cell, gens[i]))
 
-    descend(0, DefSet.full(g))
+    descend(0, DefSet.full(ground))
     return out
 
 

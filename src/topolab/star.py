@@ -8,6 +8,11 @@ fragment opens.  Standard points are the singleton atoms of samples, so
 the ground embeds where it is sampled, and every Boolean identity of the
 star map is machine-checkable by quantifying over atoms.
 
+The adherence of an atom is read off the monads: the samples whose monad
+holds it.  The retraction sends each atom to the samples whose closure
+matches its adherence; it fails, with the atom as witness, when no
+sample closure does.  Those samples always share one monad.
+
 Definable ground-to-ground maps extend to atom maps functorially; the
 preimage of every target generator must land in (the algebra of) the
 source, which is what replaces measurability at this scale.
@@ -22,6 +27,7 @@ from . import fintop
 from .errors import (
     AtomCapExceeded,
     GroundMismatch,
+    NoRetraction,
     NotInAlgebra,
     PeriodOverflow,
     PreimageNotInAlgebra,
@@ -32,7 +38,6 @@ from .fintop import FinSpace, generate_topology
 from .setalg import (
     GENERATOR_CAP,
     PERIOD_CAP,
-    AlgebraBasis,
     DefSet,
     Ground,
     atoms_of,
@@ -162,7 +167,7 @@ def build_star(p: SpacePresentation) -> StarModel:
     if len(gens) > GENERATOR_CAP:
         raise AtomCapExceeded(
             f"{len(gens)} generators (subbase + samples) exceed cap {GENERATOR_CAP}")
-    atoms = tuple(atoms_of(AlgebraBasis(gens), p.ground))
+    atoms = tuple(atoms_of(gens, p.ground))
     index = {a: i for i, a in enumerate(atoms)}
     n = len(atoms)
     frame = Frame.of(atoms)
@@ -183,6 +188,71 @@ def star_of(m: StarModel, a: DefSet) -> int:
 
 def model_monad(m: StarModel, atom: int) -> int:
     return fintop.monad(m.space, atom)
+
+
+def adherence(m: StarModel, atom: int) -> frozenset[int]:
+    """Samples adherent to the ultrafilter trace of an atom: every
+    fragment-open neighbourhood of the sample meets every algebra member
+    holding the atom.
+
+    The atom's singleton is such a member, and a neighbourhood that meets
+    it meets them all, so these are the samples whose monad holds the atom.
+    """
+    if not 0 <= atom < len(m.atoms):
+        raise ValueError(f"atom {atom} outside the model")
+    return frozenset(s for s, a in zip(m.presentation.samples, m.embedding)
+                     if (model_monad(m, a) >> atom) & 1)
+
+
+@dataclass(frozen=True)
+class RetractionMap:
+    """Atom → class of samples with matching closure; identity on standard
+    atoms."""
+
+    model: StarModel
+    assign: tuple[frozenset[int], ...]
+
+
+def retraction(m: StarModel) -> RetractionMap:
+    """Standard-part map on atoms.
+
+    Each atom goes to the samples x whose sample closure cl{x} ∩ samples
+    equals the atom's adherence, and NoRetraction names the first atom
+    with none.  cl{x} ∩ samples is adherence(m, atom of x), since y lies
+    in cl{x} iff the atom of x lies in the monad of the atom of y.
+
+    The samples sent to one atom share a monad.  If x and y have equal
+    sample closures, x lies in cl{y} and y in cl{x}.  In a finite space
+    x in cl{y} means y in monad(x), so monad(y) ⊆ monad(x), and the
+    other way round gives equality.
+
+    The map r into the T0 quotient of the sample space (`sample_space`),
+    each atom to the class of its samples, is continuous, so it is not
+    checked.  An open is the union of the monads of its points, so it is
+    enough that k in monad(i) and r(i) in an open U put r(k) in U.  Write
+    adh for adherence.  A sample monad that holds i is open, so it holds
+    monad(i) and k: adh(k) ⊇ adh(i).  For y in r(i) and y' in r(k) that
+    reads cl{y} ⊆ cl{y'} on the samples, so y lies in cl{y'}, and the
+    continuous quotient map keeps this: r(i) lies in the closure of r(k),
+    so every open around r(i) holds r(k).  Hence each target monad pulls
+    back to an open.
+
+    r fixes the standard part, so that is not checked either: each sample
+    x is put in by_closure[adherence(m, η(x))], with η(x) its atom, and
+    that is exactly the class that r assigns to η(x) (which is therefore
+    never a NoRetraction witness).
+    """
+    samples = m.presentation.samples
+    by_closure: dict[frozenset[int], list[int]] = {}
+    for x, a in zip(samples, m.embedding):
+        by_closure.setdefault(adherence(m, a), []).append(x)
+    assign: list[frozenset[int]] = []
+    for i in range(len(m.atoms)):
+        adh = adherence(m, i)
+        if adh not in by_closure:
+            raise NoRetraction(i, f"adherence {sorted(adh)} matches no sample closure")
+        assign.append(frozenset(by_closure[adh]))
+    return RetractionMap(m, tuple(assign))
 
 
 def algebra_sets(m: StarModel) -> list[DefSet]:

@@ -19,20 +19,21 @@ that the sample space is homeomorphic to the standard atoms stays as
 well, though it holds by construction.  They are quadratic or worse in
 the number of opens (the searches are exponential) and run only in the
 tests, where they are compared with the monad-based code in
-`topolab.fintop`, the linear certificates in `topolab.star`, the kernels
-in `topolab._kernels`, the orbit sweep, the monad adherence and the
-final-topology check on monads in `topolab.reflect`, and the signature
-image in `topolab.dcomp`.
+`topolab.fintop` (the final-topology check of a quotient among it), the
+linear certificates and the monad adherence in `topolab.star`, the
+kernels in `topolab._kernels`, the orbit sweep in `topolab.reflect`, and
+the signature image in `topolab.dcomp`.
 """
 import itertools
 from typing import Sequence
 
 import numpy as np
 
-from topolab import _kernels, reflect
+from topolab import _kernels
 from topolab.fintop import (
-    FinSpace, enumerate_topologies, interior, is_homeomorphism, property_report, subspace)
-from topolab.reflect import QuotientMap, SweepReport
+    FinSpace, QuotientMap, enumerate_topologies, interior, is_homeomorphism, property_report,
+    subspace, t0_reflection, t2_reflection)
+from topolab.reflect import SweepReport
 from topolab.setalg import DefSet, ds_combine
 from topolab.star import model_monad, sample_space, star_of
 
@@ -236,7 +237,7 @@ def retraction_continuous_by_opens(m, r) -> bool:
     """Continuity of a retraction into the T0 quotient of the sample space,
     each atom sent to the class of the first sample it is assigned,
     testing the preimage of every open of that quotient."""
-    q = reflect.t0_reflection(sample_space(m))
+    q = t0_reflection(sample_space(m))
     samples = m.presentation.samples
     cls = [q.assign[samples.index(next(iter(a)))] for a in r.assign]
     return continuous_by_opens(m.space, q.target, cls)
@@ -403,10 +404,10 @@ def labeled_sweep(max_n, kind):
     sources = [s for spaces in by_size for s in spaces]
     if kind == "t0":
         targets = [s for s in sources if property_report(s).t0]
-        reflection = reflect.t0_reflection
+        reflection = t0_reflection
     else:
         targets = [FinSpace(n, tuple(range(1 << n))) for n in range(max_n + 1)]
-        reflection = reflect.t2_reflection
+        reflection = t2_reflection
     batches = []
     first = 0
     for n, spaces in enumerate(by_size):

@@ -15,14 +15,15 @@ from topolab.corpus import (
 )
 from topolab.dcomp import dcomp_crosscheck, dcomp_embed, dyad_family_of
 from topolab.errors import NoRetraction
-from topolab.fintop import iso_check, property_report
-from topolab.reflect import retraction, t0_reflection, weak_reflection_sweep
+from topolab.fintop import iso_check, property_report, t0_reflection
+from topolab.reflect import weak_reflection_sweep
 from topolab.star import (
     algebra_sets,
     build_star,
     dm_compose,
     fragment_continuous,
     model_monad,
+    retraction,
     robinson_coverage,
     sandwich_violations,
     star_identity_violations,

@@ -75,6 +75,7 @@ def test_parse_maps_both_grounds():
     ("ground omega\nsubbase\n", None, None, "missing samples"),
     ("ground omega\nsubbase\nsamples x\n", 3, None, "natural numbers"),
     ("ground bogus\nsubbase\nsamples\n", 1, None, "bad ground"),
+    ("ground omega\nsubbase\nsamples 1 1\n", 3, None, "duplicate sample 1"),
 ])
 def test_parse_errors_carry_position(text, line, col, fragment):
     with pytest.raises(ParseError) as e:
@@ -153,6 +154,14 @@ def test_exit_one_on_density_gap(capsys):
 def test_exit_two_on_missing_file(capsys):
     assert main(["check", str(PRES / "no_such_file.top")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_exit_two_on_duplicate_samples(tmp_path, capsys):
+    path = tmp_path / "twice.top"
+    path.write_text("ground omega\nsubbase\nsamples 1 1\n")
+    assert main(["check", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: line 3: duplicate sample 1\n"
 
 
 def test_exit_two_on_atom_cap(tmp_path, capsys):
@@ -350,6 +359,23 @@ def test_reflections_at_the_family_cap_within_two_seconds(tmp_path, capsys, argv
     assert elapsed < 2.0
 
 
+def test_thresholds_at_the_period_cap_within_two_seconds(tmp_path, capsys):
+    # a threshold is bounded as a period is: the last point under the cap
+    # answers, and a point, tail or progression start past it is refused
+    # at once, before its bitmask is built
+    path = tmp_path / "far.top"
+    path.write_text("ground omega\nset A = {1048575}\nsubbase A\nsamples 0\n")
+    rc, elapsed = _timed_main(["beta2", str(path), "--format", "structured"])
+    assert rc == 0 and json.loads(capsys.readouterr().out)["summary"]["atoms"] == 3
+    assert elapsed < 2.0
+    for expr in ("{1048576}", "tail(1048577)", "ap(1048577,2)"):
+        path.write_text(f"ground omega\nset A = {expr}\nsubbase A\nsamples 0\n")
+        rc, elapsed = _timed_main(["check", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "threshold 1048577" in err and "exceeds cap 1048576" in err
+        assert elapsed < 2.0
+
+
 def test_check_at_the_family_cap_within_two_seconds(tmp_path, capsys):
     # the 16-atom, 8,193-open file above: 8,191 opens escape their spread,
     # so over a million nested pairs fail the sandwich; two are printed
@@ -496,26 +522,50 @@ def test_commands_without_reflections_never_load_numpy(tmp_path):
     assert loaded == {"numpy": False, "topolab._kernels": False, "topolab.reflect": False}
 
 
+def test_reflection_commands_never_load_numpy():
+    sierp, upper = str(PRES / "sierpinski.top"), str(PRES / "upper_n.top")
+    rcs, loaded = _loads_numpy_after([
+        ["reflect", upper, "--kind", "t0"], ["reflect", upper, "--kind", "t2"],
+        ["beta", upper], ["beta2", upper], ["retract", sierp],
+        ["dcomp", upper],  # runs the crosscheck
+    ])
+    assert rcs == [0] * 6
+    assert loaded == {"numpy": False, "topolab._kernels": False, "topolab.reflect": False}
+
+
+# the weak-reflection sweep is the one reflection that needs numpy, and
+# enumerate the one command; enumerate does not load topolab.reflect
 @pytest.mark.parametrize("argv", [
-    ["enumerate", "--n", "2"],
-    ["reflect", str(PRES / "sierpinski.top")],
+    ["import topolab.cli", "assert topolab.cli.main(['enumerate', '--n', '2']) == 0"],
+    ["import topolab.reflect", "topolab.reflect.weak_reflection_sweep(2, 't0')"],
 ])
 def test_enumeration_and_reflections_load_numpy(argv):
-    assert _loads_numpy_after([argv]) == ([0], {"numpy": True, "topolab._kernels": True,
-                                                "topolab.reflect": argv[0] == "reflect"})
+    proc = _fresh("-c", "; ".join(argv + [
+        "import json, sys",
+        "print(json.dumps({m: m in sys.modules for m in "
+        "('numpy', 'topolab._kernels', 'topolab.reflect')}))"]))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "numpy": True, "topolab._kernels": True, "topolab.reflect": "reflect" in argv[0]}
 
 
-def test_reflection_names_resolve_lazily_from_the_package():
-    import topolab
+def test_reflection_names_are_one_object_in_every_module():
+    # topobench's tracer looks these up in reflect and patches every binding
+    # of the same object, so the package, the home module and reflect share it
     import topolab.reflect
-    names = ("QuotientMap", "RetractionMap", "SweepReport", "adherence", "retraction",
-             "t0_reflection", "t2_reflection", "weak_reflection_sweep")
-    for name in names:
-        assert getattr(topolab, name) is getattr(topolab.reflect, name)
-    from topolab import t0_reflection
-    assert t0_reflection is topolab.reflect.t0_reflection
-    with pytest.raises(AttributeError):
-        topolab.no_such_name  # noqa: B018
+    homes = {"QuotientMap": topolab.fintop, "t0_reflection": topolab.fintop,
+             "t2_reflection": topolab.fintop, "adherence": topolab.star,
+             "retraction": topolab.star}
+    for name, home in homes.items():
+        assert getattr(topolab, name) is getattr(home, name) is getattr(topolab.reflect, name)
+    for name in ("SweepReport", "weak_reflection_sweep", "no_such_name"):
+        assert not hasattr(topolab, name)
+    # the benchmark worker imports reflect in its set-up to load numpy there
+    proc = _fresh("-c", "import sys, topolab, topolab.cli, topolab.fintop, topolab.star, "
+                        "topolab.dcomp, topolab.corpus; before = 'numpy' in sys.modules; "
+                        "import topolab.reflect; print(before, 'numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_fresh_processes_match_in_process_runs(tmp_path, capsys):

@@ -26,8 +26,8 @@ from topolab.fintop import (
     monad,
     property_report,
     subspace,
+    t0_reflection,
 )
-from topolab.reflect import t0_reflection
 
 SIERP = FinSpace(2, (0, 1, 3))
 DISCRETE2 = FinSpace(2, (0, 1, 2, 3))

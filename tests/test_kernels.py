@@ -4,8 +4,9 @@ import numpy as np
 
 import oracles
 from topolab import _kernels, reflect
-from topolab.fintop import FinSpace, enumerate_topologies, iso_check, property_report
-from topolab.reflect import _class_tables, t0_reflection, t2_reflection
+from topolab.fintop import (
+    FinSpace, enumerate_topologies, iso_check, property_report, t0_reflection, t2_reflection)
+from topolab.reflect import _class_tables
 
 
 def test_topology_codes_match_the_code_scan():

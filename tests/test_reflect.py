@@ -23,19 +23,19 @@ from topolab.corpus import (
     presentation_of_space,
     sierpinski_presentation,
 )
-from topolab.fintop import FinSpace, closure, enumerate_topologies, iso_check, property_report
-from topolab.reflect import (
+from topolab.fintop import (
+    FinSpace,
     QuotientMap,
-    _sweep_counts,
-    _source_classes,
-    adherence,
-    retraction,
+    closure,
+    enumerate_topologies,
+    iso_check,
+    property_report,
     t0_reflection,
     t2_reflection,
-    weak_reflection_sweep,
 )
+from topolab.reflect import _source_classes, _sweep_counts, weak_reflection_sweep
 from topolab.setalg import OMEGA, DefSet, ds_compare
-from topolab.star import SpacePresentation, build_star, model_monad
+from topolab.star import SpacePresentation, adherence, build_star, model_monad, retraction
 
 SIERP = FinSpace(2, (0, 1, 3))
 

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topolab.errors import (
-    AtomCapExceeded,
     GroundMismatch,
     OutOfGround,
     ParseError,
@@ -22,7 +21,6 @@ from topolab.errors import (
 from topolab.setalg import (
     OMEGA,
     PERIOD_CAP,
-    AlgebraBasis,
     DefSet,
     Ground,
     atoms_of,
@@ -281,6 +279,21 @@ def test_period_overflow():
         DefSet.arithmetic(OMEGA, 0, PERIOD_CAP + 1)
 
 
+def test_threshold_overflow():
+    # thresholds up to the cap are kept; one past it is refused before the
+    # description is canonicalized (or a literal's bitmask is built)
+    assert DefSet.from_members(OMEGA, [PERIOD_CAP - 1]).threshold == PERIOD_CAP
+    assert DefSet.tail(OMEGA, PERIOD_CAP).threshold == PERIOD_CAP
+    assert DefSet.arithmetic(OMEGA, PERIOD_CAP, 2).threshold <= PERIOD_CAP
+    with pytest.raises(PeriodOverflow, match=f"threshold {PERIOD_CAP + 1} of point {PERIOD_CAP}"):
+        DefSet.from_members(OMEGA, [3, PERIOD_CAP])
+    for made in (lambda: DefSet.tail(OMEGA, PERIOD_CAP + 1),
+                 lambda: DefSet.arithmetic(OMEGA, PERIOD_CAP + 1, 2),
+                 lambda: DefSet(OMEGA, 0, PERIOD_CAP + 1, 1, 0)):
+        with pytest.raises(PeriodOverflow, match=f"threshold {PERIOD_CAP + 1} exceeds"):
+            made()
+
+
 OPS_POINTWISE = {
     "union": lambda x, y: x or y,
     "inter": lambda x, y: x and y,
@@ -359,39 +372,35 @@ def test_compare_reflexive(a):
 # -- atoms ----------------------------------------------------------------
 
 def test_atoms_two_generators():
-    basis = AlgebraBasis((DefSet.from_members(OMEGA, [1]),
-                          DefSet.from_members(OMEGA, [1, 2])))
-    atoms = atoms_of(basis)
+    gens = (DefSet.from_members(OMEGA, [1]), DefSet.from_members(OMEGA, [1, 2]))
+    atoms = atoms_of(gens, OMEGA)
     assert [a.members_below(8) for a in atoms] == [[1], [2], [0, 3, 4, 5, 6, 7]]
 
 
 def test_atoms_chain_generators():
     gens = tuple(DefSet.from_members(OMEGA, range(1, n + 1)) for n in range(1, 4))
-    atoms = atoms_of(AlgebraBasis(gens))
+    atoms = atoms_of(gens, OMEGA)
     assert [a.describe() for a in atoms] == ["{1}", "{2}", "{3}", "{0}|tail(4)"]
 
 
 def test_atoms_empty_basis():
-    assert atoms_of(AlgebraBasis(()), Ground(3)) == [DefSet.full(Ground(3))]
-    assert atoms_of(AlgebraBasis(()), Ground(0)) == []
-    with pytest.raises(ValueError):
-        atoms_of(AlgebraBasis(()))
+    assert atoms_of((), Ground(3)) == [DefSet.full(Ground(3))]
+    assert atoms_of((), Ground(0)) == []
 
 
 def test_basis_caps_and_grounds():
+    # the generator cap is build_star's (test_star.py::test_atom_cap)
     single = DefSet.from_members(OMEGA, [1])
-    with pytest.raises(AtomCapExceeded):
-        AlgebraBasis((single,) * 17)
     with pytest.raises(GroundMismatch):
-        AlgebraBasis((single, DefSet.from_members(Ground(4), [1])))
+        atoms_of((single, DefSet.from_members(Ground(4), [1])), OMEGA)
     with pytest.raises(GroundMismatch):
-        atoms_of(AlgebraBasis((single,)), Ground(4))
+        atoms_of((single,), Ground(4))
 
 
 @given(st.lists(defsets(), min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
 def test_atom_partition(gens):
-    atoms = atoms_of(AlgebraBasis(tuple(gens)))
+    atoms = atoms_of(gens, OMEGA)
     for i, a in enumerate(atoms):
         assert not a.is_empty
         for b in atoms[i + 1:]:
