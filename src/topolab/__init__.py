@@ -28,11 +28,8 @@ from .setalg import (
     PERIOD_CAP,
     DefSet,
     Ground,
-    SetRelation,
     atoms_of,
     ds_combine,
-    ds_compare,
-    ds_member,
     parse_set_expr,
 )
 from .fintop import (
@@ -43,11 +40,9 @@ from .fintop import (
     enumerate_topologies,
     generate_topology,
     hasse_dot,
-    interior,
     iso_check,
     monad,
     property_report,
-    subspace,
     t0_reflection,
     t2_reflection,
 )
@@ -75,7 +70,6 @@ from .star import (
     star_of,
 )
 from .dcomp import (
-    DYAD,
     CrosscheckReport,
     DyadEmbedding,
     DyadFamily,

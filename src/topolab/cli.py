@@ -232,26 +232,6 @@ def parse_presentation(text: str) -> PresentationFile:
     return PresentationFile(ground, tuple(sets), subbase, samples, tuple(maps))
 
 
-def serialize_presentation(pf: PresentationFile) -> str:
-    lines = []
-    if pf.ground.is_finite:
-        lines.append(f"ground finite {pf.ground.size}")
-    else:
-        lines.append("ground omega")
-    for name, value in pf.sets:
-        lines.append(f"set {name} = {value.describe()}")
-    lines.append(("subbase " + " ".join(pf.subbase)).rstrip())
-    lines.append(("samples " + " ".join(str(s) for s in pf.samples)).rstrip())
-    for name, f in pf.maps:
-        entries = " ".join(f"{m}:{f.table[m]}" for m in range(len(f.table)))
-        body = ("table " + entries).rstrip()
-        if not pf.ground.is_finite:
-            clauses = " ".join(f"{r}: {kind} {arg}" for r, (kind, arg) in enumerate(f.rules))
-            body += f" ; periodic {len(f.table)} {len(f.rules)} {clauses}".rstrip()
-        lines.append(f"map {name} = {body}")
-    return "\n".join(lines) + "\n"
-
-
 # -- reports -----------------------------------------------------------
 
 
@@ -345,6 +325,15 @@ def _summarize(report: Report, m: StarModel) -> None:
     )
 
 
+def _add_coverage(report: Report, m: StarModel) -> bool:
+    """Add the coverage item; return whether every atom is covered."""
+    cov = robinson_coverage(m)
+    detail = "covered" if cov.covered else (
+        "uncovered atoms: " + ", ".join(_atom_label(m, i) for i in cov.uncovered))
+    report.add("coverage", INFO, detail)
+    return cov.covered
+
+
 def _report_flags(report: Report, prefix: str, rep: fintop.PropertyReport) -> None:
     flags = rep.flags()
     text = " ".join(f"{name}={'y' if flags[name] else 'n'}" for name in flags)
@@ -378,11 +367,7 @@ def cmd_check(m: StarModel, args: argparse.Namespace, report: Report) -> None:
         gaps = density_violations(m)
         report.check("density", not gaps, "every nonempty model open meets the samples",
                      f"open without standard atom: {gaps[:1]}")
-    cov = robinson_coverage(m)
-    detail = "covered" if cov.covered else (
-        "uncovered atoms: " + ", ".join(_atom_label(m, i) for i in cov.uncovered))
-    report.add("coverage", INFO, detail)
-    if cov.covered:
+    if _add_coverage(report, m):
         viol = list(itertools.islice(sandwich_violations(m), 2))
         report.check("monad-sandwich", not viol,
                      "star(G) within standard monads within star(V) for nested opens",
@@ -399,12 +384,7 @@ def cmd_star(m: StarModel, args: argparse.Namespace, report: Report) -> None:
     for i in range(len(m.atoms)):
         report.add(f"monad({_atom_label(m, i)})", INFO,
                    _mask_text(m, model_monad(m, i)))
-    cov = robinson_coverage(m)
-    if cov.covered:
-        report.add("coverage", INFO, "covered")
-    else:
-        report.add("coverage", INFO, "uncovered atoms: " + ", ".join(
-            _atom_label(m, i) for i in cov.uncovered))
+    _add_coverage(report, m)
     _summarize(report, m)
 
 

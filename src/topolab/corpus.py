@@ -1,4 +1,4 @@
-"""Stock presentations and maps used by the test corpus and the CLI examples.
+"""Stock presentations and spaces for the CLI, the README and the tests.
 
 The chain fragments present the upper topology on an initial stretch of
 the naturals; the pointed variants adjoin a point (encoded 0) whose only
@@ -6,12 +6,14 @@ neighbourhood is everything, the finite approximation of a point at
 infinity.  The discrete fragment presents discrete counting with
 singleton opens and their complements, and the partition presentations
 present periodic decompositions whose subbase is complement-closed.
+The named corpus of presentations and maps that the tests run over is
+built from these in tests/corpus.py.
 """
 from __future__ import annotations
 
-from .fintop import FinSpace, generate_topology, monad
+from .fintop import FinSpace, generate_topology
 from .setalg import OMEGA, DefSet, Ground, ds_combine
-from .star import DefMap, SpacePresentation
+from .star import SpacePresentation
 
 
 def chain_fragment(k: int, shift: int = 0) -> SpacePresentation:
@@ -72,53 +74,6 @@ def sierpinski_presentation() -> SpacePresentation:
     return SpacePresentation(g, (DefSet.from_members(g, (0,)),), (0, 1))
 
 
-def presentation_of_space(s: FinSpace) -> SpacePresentation:
-    """Present a finite space with its full algebra: subbase = the distinct
-    monads (they generate the topology), samples = every point (their
-    singletons force the algebra to be the whole power set)."""
-    g = Ground(s.n)
-    seen = []
-    for x in range(s.n):
-        mask = monad(s, x)
-        if mask not in seen:
-            seen.append(mask)
-    subbase = tuple(DefSet(g, mask, s.n) for mask in seen)
-    return SpacePresentation(g, subbase, tuple(range(s.n)))
-
-
 def chain_space(n: int) -> FinSpace:
     """The n-point chain: opens are the initial segments {0..i}."""
     return generate_topology(n, [(1 << (i + 1)) - 1 for i in range(n)])
-
-
-def corpus_presentations() -> list[tuple[str, SpacePresentation]]:
-    """The named infinite-ground corpus (finite enumerated presentations are
-    generated separately where needed)."""
-    out = [(f"chain{k}", chain_fragment(k)) for k in range(1, 5)]
-    out += [(f"pointed_chain{k}", pointed_chain_fragment(k)) for k in range(1, 5)]
-    out += [("discrete3", discrete_fragment(3)), ("discrete4", discrete_fragment(4))]
-    out += [("partition2", partition_fragment(2)),
-            ("partition3", partition_fragment(3, with_unions=True))]
-    out += [("finite_discrete3", finite_discrete(3)),
-            ("sierpinski", sierpinski_presentation())]
-    return out
-
-
-def corpus_maps() -> list[tuple[str, DefMap, SpacePresentation, SpacePresentation]]:
-    """Named maps with algebra-compatible source/target presentations:
-    identities, shifts between shifted chains, and collapses to the
-    infinity point of a pointed chain."""
-    out = []
-    for k in (2, 3):
-        p = chain_fragment(k)
-        out.append((f"id_chain{k}", DefMap.identity(OMEGA), p, p))
-    out.append(("id_finite3", DefMap.identity(Ground(3)),
-                finite_discrete(3), finite_discrete(3)))
-    shift1 = DefMap.shift(OMEGA, 1)
-    out.append(("shift_chain3", shift1, chain_fragment(3), chain_fragment(3, shift=1)))
-    out.append(("shift_chain3_again", shift1,
-                chain_fragment(3, shift=1), chain_fragment(3, shift=2)))
-    for k in (2, 3):
-        out.append((f"collapse_chain{k}", DefMap.constant(OMEGA, 0),
-                    chain_fragment(k), pointed_chain_fragment(k)))
-    return out

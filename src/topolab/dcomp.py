@@ -18,8 +18,6 @@ from .fintop import MAX_POINTS, FinSpace, generate_topology, is_homeomorphism, t
 from .setalg import DefSet, ds_combine  # noqa: F401
 from .star import SpacePresentation, StarModel, star_of
 
-DYAD = FinSpace(2, (0, 1, 3))
-
 FAMILY_CAP = 16
 
 
@@ -96,7 +94,8 @@ def dcomp_embed(m: StarModel, fam: DyadFamily) -> DyadEmbedding:
     k = len(fam.maps)
     if k > FAMILY_CAP:
         raise FamilyTooLarge(f"{k} maps exceed the family cap {FAMILY_CAP}")
-    image_vectors = tuple(sorted(set(_atom_signatures(m, fam))))
+    signatures = _atom_signatures(m, fam)
+    image_vectors = tuple(sorted(set(signatures)))
     # a vector w is adherent iff some realized v has ones(v) ⊆ ones(w): the
     # minimal neighbourhood of w in the power is {u : ones(u) ⊆ ones(w)}
     closure = set(image_vectors)
@@ -113,11 +112,9 @@ def dcomp_embed(m: StarModel, fam: DyadFamily) -> DyadEmbedding:
     image = _cylinder_space(image_vectors, k)
     clo = _cylinder_space(closure_vectors, k)
     vec_index = {v: j for j, v in enumerate(image_vectors)}
-    ev = []
-    for s in m.presentation.samples:
-        v = sum(1 << i for i, g in enumerate(fam.maps) if s not in g)
-        ev.append(vec_index[v])
-    return DyadEmbedding(fam, image_vectors, image, closure_vectors, clo, tuple(ev))
+    # a sample's singleton is its atom, so its vector is that atom's signature
+    ev = tuple(vec_index[signatures[a]] for a in m.embedding)
+    return DyadEmbedding(fam, image_vectors, image, closure_vectors, clo, ev)
 
 
 @dataclass(frozen=True)

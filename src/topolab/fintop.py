@@ -150,15 +150,6 @@ def generate_topology(n: int, subbase: Sequence[int]) -> FinSpace:
     return FinSpace(n, (), _monads_of(n, subbase))
 
 
-def interior(s: FinSpace, a: int) -> int:
-    """Points whose monad lies inside a."""
-    out = 0
-    for x, m in enumerate(s._monads):
-        if not m & ~a:
-            out |= 1 << x
-    return out
-
-
 def closure(s: FinSpace, a: int) -> int:
     """Points whose monad meets a."""
     out = 0
@@ -320,14 +311,6 @@ def property_report(s: FinSpace) -> PropertyReport:
         compact=True, locally_compact=True, supercompact=True,
         witnesses=tuple(wit),
     )
-
-
-def subspace(s: FinSpace, mask: int) -> tuple[FinSpace, list[int]]:
-    """Subspace on the points of mask, with the point renumbering.  The
-    monad of x there is its monad in s cut down to mask."""
-    pts = [x for x in range(s.n) if (mask >> x) & 1]
-    monads = [sum(1 << i for i, y in enumerate(pts) if (s._monads[x] >> y) & 1) for x in pts]
-    return FinSpace(len(pts), (), monads), pts
 
 
 def is_homeomorphism(a: FinSpace, b: FinSpace, image: Sequence[int]) -> bool:

@@ -36,13 +36,16 @@ GENERATOR_CAP = 16
 
 @dataclass(frozen=True)
 class Ground:
-    """Point universe: Ground(n) is {0,...,n-1}, Ground(None) is the naturals."""
+    """Point universe: Ground(n) is {0,...,n-1}, Ground(None) is the naturals.
+    A finite ground has at most PERIOD_CAP points, so a set's bitmask does too."""
 
     size: int | None = None
 
     def __post_init__(self):
         if self.size is not None and self.size < 0:
             raise ValueError("finite ground needs size >= 0")
+        if self.size is not None and self.size > PERIOD_CAP:
+            raise SizeCapExceeded(f"finite ground of {self.size} points exceeds cap {PERIOD_CAP}")
 
     @property
     def is_finite(self) -> bool:
@@ -145,7 +148,9 @@ class DefSet:
         if start < 0 or step < 1:
             raise ValueError("need start >= 0 and step >= 1")
         if ground.is_finite:
-            return DefSet.from_members(ground, range(start, ground.size, step))
+            n = ground.size
+            mask = _replicate(1 << start % step, step, n) >> start << start if start < n else 0
+            return DefSet(ground, mask, n)
         if step > PERIOD_CAP:
             raise PeriodOverflow(f"period {step} exceeds cap {PERIOD_CAP}")
         return DefSet(ground, 0, start, step, 1 << (start % step))
@@ -156,7 +161,7 @@ class DefSet:
         if t < 0:
             raise ValueError("need t >= 0")
         if ground.is_finite:
-            return DefSet.from_members(ground, range(t, ground.size))
+            return DefSet(ground, ((1 << ground.size) - 1) >> t << t, ground.size)
         return DefSet(ground, 0, t, 1, 1)
 
     @staticmethod
@@ -197,12 +202,6 @@ class DefSet:
     @property
     def is_empty(self) -> bool:
         return self.low == 0 and self.residues == 0
-
-    def members_below(self, n: int) -> list[int]:
-        """The members in [0, n); n may exceed a finite ground's size."""
-        if self.ground.is_finite:
-            n = min(n, self.ground.size)
-        return [m for m in range(n) if m in self]
 
     def __and__(self, other: "DefSet") -> "DefSet":
         return ds_combine("inter", self, other)
@@ -267,10 +266,6 @@ def _canonical(low: int, t: int, p: int, res: int) -> tuple[int, int, int, int]:
     return low & ((1 << t) - 1), t, p, res
 
 
-def ds_member(s: DefSet, n: int) -> bool:
-    return n in s
-
-
 def ds_window(s: DefSet, t: int, p: int) -> tuple[int, int]:
     """s redescribed over threshold t and period p, as (low, residues).
 
@@ -316,31 +311,6 @@ def ds_combine(op: str, a: DefSet, b: DefSet | None = None) -> DefSet:
     low_a, res_a = ds_window(a, t, p)
     low_b, res_b = ds_window(b, t, p)
     return DefSet(a.ground, f(low_a, low_b), t, p, f(res_a, res_b))
-
-
-@dataclass(frozen=True)
-class SetRelation:
-    """Decision record for a pair of sets over one ground."""
-
-    equal: bool
-    subset: bool
-    superset: bool
-    disjoint: bool
-
-    @property
-    def incomparable(self) -> bool:
-        return not self.subset and not self.superset
-
-
-def ds_compare(a: DefSet, b: DefSet) -> SetRelation:
-    if a.ground != b.ground:
-        raise GroundMismatch(f"{a.ground!r} vs {b.ground!r}")
-    subset = ds_combine("diff", a, b).is_empty
-    superset = ds_combine("diff", b, a).is_empty
-    disjoint = ds_combine("inter", a, b).is_empty
-    equal = subset and superset
-    assert equal == (a == b), "canonical forms must agree with extensional equality"
-    return SetRelation(equal, subset, superset, disjoint)
 
 
 def atoms_of(gens: Sequence[DefSet], ground: Ground) -> list[DefSet]:

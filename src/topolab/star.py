@@ -150,9 +150,6 @@ class StarModel:
         """The ground set that a mask of atoms stands for."""
         return self.frame.union_of(self.presentation.ground, mask)
 
-    def atom_of_sample(self, s: int) -> int:
-        return self.embedding[self.presentation.samples.index(s)]
-
 
 def build_star(p: SpacePresentation) -> StarModel:
     """Construct the fragment model of p.
@@ -516,13 +513,6 @@ class StarMap:
 
     def __call__(self, atom: int) -> int:
         return self.atom_map[atom]
-
-    def preimage_mask(self, dst_mask: int) -> int:
-        out = 0
-        for i, j in enumerate(self.atom_map):
-            if (dst_mask >> j) & 1:
-                out |= 1 << i
-        return out
 
 
 def _check_range(f: DefMap, dst: Ground) -> None:

@@ -1,7 +1,7 @@
 import pytest
 
+from corpus import corpus_presentations, presentation_of_space
 from topolab.fintop import enumerate_topologies
-from topolab.corpus import corpus_presentations, presentation_of_space
 from topolab.star import build_star
 
 

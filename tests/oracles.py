@@ -31,8 +31,8 @@ import numpy as np
 
 from topolab import _kernels
 from topolab.fintop import (
-    FinSpace, QuotientMap, enumerate_topologies, interior, is_homeomorphism, property_report,
-    subspace, t0_reflection, t2_reflection)
+    FinSpace, QuotientMap, enumerate_topologies, is_homeomorphism, property_report,
+    t0_reflection, t2_reflection)
 from topolab.reflect import SweepReport
 from topolab.setalg import DefSet, ds_combine
 from topolab.star import model_monad, sample_space, star_of
@@ -88,6 +88,14 @@ def interior_by_opens(opens, a):
 def closure_by_opens(n, opens, a):
     full = (1 << n) - 1
     return full ^ interior_by_opens(opens, full ^ a)
+
+
+def subspace(s: FinSpace, mask: int) -> tuple[FinSpace, list[int]]:
+    """Subspace on the points of mask, with the point renumbering.  The
+    monad of x there is its monad in s cut down to mask."""
+    pts = [x for x in range(s.n) if (mask >> x) & 1]
+    monads = [sum(1 << i for i, y in enumerate(pts) if (s._monads[x] >> y) & 1) for x in pts]
+    return FinSpace(len(pts), (), monads), pts
 
 
 def regular_witness(s):
@@ -191,7 +199,7 @@ def locally_compact_literal(s: FinSpace) -> bool:
                 continue
             found = False
             for w in range(1 << s.n):
-                if w & ~v or not (interior(s, w) >> x) & 1:
+                if w & ~v or not (interior_by_opens(s.opens, w) >> x) & 1:
                     continue
                 if _covers_have_subcover(subspace(s, w)[0]):
                     found = True
@@ -430,9 +438,11 @@ def labeled_sweep(max_n, kind):
 
 
 def dyad_vectors_by_scan(m, fam):
-    """(image, closure) vectors of a dyad family over a model, scanning all
+    """(image, closure, eval) of a dyad family over a model, scanning all
     2**k vectors: v is realized iff the algebra cell it names has an atom,
-    and w is in the closure iff it holds the ones of some realized v."""
+    and w is in the closure iff it holds the ones of some realized v.  Each
+    sample's vector is read off its membership in every member, and eval
+    gives its position among the realized vectors."""
     k = len(fam.maps)
     member_masks = [star_of(m, g) for g in fam.maps]
     all_atoms = (1 << len(m.atoms)) - 1
@@ -444,7 +454,9 @@ def dyad_vectors_by_scan(m, fam):
         if cell:
             realized.append(v)
     closure = [w for w in range(1 << k) if any(v & ~w == 0 for v in realized)]
-    return tuple(realized), tuple(closure)
+    ev = [realized.index(sum(1 << i for i, g in enumerate(fam.maps) if s not in g))
+          for s in m.presentation.samples]
+    return tuple(realized), tuple(closure), tuple(ev)
 
 
 def ultrafilter_trace(m, atom):

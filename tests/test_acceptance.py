@@ -5,11 +5,10 @@ so a plain `pytest tests/test_acceptance.py` run shows the scorecard.
 All comparisons are exact; nothing here is tolerance-based.
 """
 import oracles
+from corpus import corpus_maps, corpus_presentations
 from topolab.corpus import (
     chain_fragment,
     chain_space,
-    corpus_maps,
-    corpus_presentations,
     discrete_fragment,
     pointed_chain_fragment,
 )

@@ -12,11 +12,7 @@ from pathlib import Path
 import pytest
 
 import topolab.cli
-from topolab.cli import (
-    main,
-    parse_presentation,
-    serialize_presentation,
-)
+from topolab.cli import main, parse_presentation
 from topolab.errors import ParseError, SizeCapExceeded, UnknownName
 from topolab.fintop import FinSpace, iso_check
 from topolab.star import build_star
@@ -53,10 +49,12 @@ def test_parse_maps_both_grounds():
         "subbase A\n"
         "samples 1 2\n"
         "map bump = table 0:0 ; periodic 1 1 0: shift 1\n"
-        "map flat = table 0:7 ; periodic 1 1 0: const 7\n")
+        "map flat = table 0:7 ; periodic 1 1 0: const 7\n"
+        "map mixed = table 0:0 1:3 ; periodic 2 2 0: shift 2 1: const 5\n")
     maps = dict(pf.maps)
     assert [maps["bump"](n) for n in range(4)] == [0, 2, 3, 4]
     assert [maps["flat"](n) for n in range(4)] == [7, 7, 7, 7]
+    assert [maps["mixed"](n) for n in range(8)] == [0, 3, 4, 5, 6, 5, 8, 5]
 
     pf = parse_presentation(
         "ground finite 3\nset A = {0}\nsubbase A\nsamples 0 1 2\n"
@@ -115,21 +113,6 @@ def test_unknown_set_name_reports_line():
     with pytest.raises(UnknownName) as e:
         parse_presentation("ground omega\nsubbase B\nsamples\n")
     assert "line 2" in str(e.value) and "'B'" in str(e.value)
-
-
-@pytest.mark.parametrize("name", ["upper_n", "n_inf", "discrete_n",
-                                  "partition_mod2", "sierpinski"])
-def test_serialize_round_trip(name):
-    pf = parse_presentation((PRES / f"{name}.top").read_text())
-    assert parse_presentation(serialize_presentation(pf)) == pf
-
-
-def test_serialize_round_trip_with_maps():
-    pf = parse_presentation(
-        "ground omega\nset A = tail(1)\nsubbase A\nsamples 1\n"
-        "map f = table 0:0 1:3 ; periodic 2 2 0: shift 2 1: const 5\n")
-    again = parse_presentation(serialize_presentation(pf))
-    assert again == pf
 
 
 # -- exit codes and rendering --------------------------------------------
@@ -374,6 +357,27 @@ def test_thresholds_at_the_period_cap_within_two_seconds(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2 and "threshold 1048577" in err and "exceeds cap 1048576" in err
         assert elapsed < 2.0
+
+
+def test_file_commands_on_the_widest_finite_ground_within_two_seconds(tmp_path, capsys):
+    # tails and progressions on a finite ground are one shift each, not one
+    # point at a time; the sets with a million-term atom refuse at the label
+    # cap, and a ground one point past the cap is refused at once
+    path = tmp_path / "wide.top"
+    path.write_text("ground finite 1048576\nset A = tail(0)\nset B = ap(3,1023)|{7}\n"
+                    "set C = tail(500000)\nsubbase A B C\nsamples 0\n")
+    expected = {"check": 2, "star": 2, "reflect": 0, "beta": 0, "beta2": 0, "retract": 2,
+                "dcomp": 0}
+    for command, code in expected.items():
+        rc, elapsed = _timed_main([command, str(path), "--format", "structured"])
+        assert rc == code, command
+        assert elapsed < 2.0, command
+    capsys.readouterr()
+    path.write_text("ground finite 1048577\nset A = tail(0)\nsubbase A\nsamples 0\n")
+    rc, elapsed = _timed_main(["check", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "finite ground of 1048577 points exceeds cap 1048576" in err
+    assert elapsed < 2.0
 
 
 def test_check_at_the_family_cap_within_two_seconds(tmp_path, capsys):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import dyad_vectors_by_scan
+from oracles import dyad_vectors_by_scan, subspace
 from topolab.cli import parse_presentation
 from topolab.corpus import (
     chain_fragment,
@@ -13,7 +13,6 @@ from topolab.corpus import (
     sierpinski_presentation,
 )
 from topolab.dcomp import (
-    DYAD,
     DyadFamily,
     check_family_continuous,
     dcomp_crosscheck,
@@ -26,7 +25,7 @@ from topolab.errors import (
     NotInAlgebra,
     SizeCapExceeded,
 )
-from topolab.fintop import MAX_POINTS, FinSpace, closure, generate_topology, iso_check, subspace
+from topolab.fintop import MAX_POINTS, FinSpace, closure, generate_topology, iso_check
 from topolab.setalg import OMEGA, DefSet, Ground
 from topolab.star import SpacePresentation, build_star
 
@@ -36,11 +35,6 @@ PRES = Path(__file__).resolve().parent.parent / "presentations"
 def _embed(p):
     """The canonical embedding of p's model."""
     return dcomp_embed(build_star(p), dyad_family_of(p))
-
-
-def test_dyad_is_sierpinski_with_open_origin():
-    assert DYAD == FinSpace(2, (0, 1, 3))
-    assert DYAD.is_open(0b01) and not DYAD.is_open(0b10)
 
 
 def test_family_validation():
@@ -79,7 +73,7 @@ def test_embed_sierpinski():
     e = _embed(sierpinski_presentation())
     assert e.image_vectors == e.closure_vectors == (0, 1)
     assert e.image == e.closure
-    assert iso_check(e.image, DYAD) is not None
+    assert iso_check(e.image, FinSpace(2, (0, 1, 3))) is not None
 
 
 def test_embed_partition2():
@@ -127,9 +121,10 @@ def test_image_vectors_inside_closure(corpus_models):
 
 
 def test_vectors_match_the_full_scan(corpus_models):
-    # signature image and grown closure against the scan of all 2**k
-    # vectors, on every corpus model and every shipped file; a closure past
-    # the point cap is refused, and the scan confirms it is that wide
+    # signature image, grown closure and sample evaluation against the scan
+    # of all 2**k vectors, on every corpus model and every shipped file; a
+    # closure past the point cap is refused, and the scan confirms it is
+    # that wide
     shipped = []
     for path in sorted(PRES.glob("*.top")):
         p = parse_presentation(path.read_text()).presentation()
@@ -137,14 +132,14 @@ def test_vectors_match_the_full_scan(corpus_models):
     refused = []
     for name, p, m in corpus_models + shipped:
         fam = dyad_family_of(p)
-        image, closure_vectors = dyad_vectors_by_scan(m, fam)
+        image, closure_vectors, ev = dyad_vectors_by_scan(m, fam)
         if len(closure_vectors) > MAX_POINTS:
             with pytest.raises(SizeCapExceeded, match="dyad closure"):
                 dcomp_embed(m, fam)
             refused.append(name)
             continue
         e = dcomp_embed(m, fam)
-        assert (e.image_vectors, e.closure_vectors) == (image, closure_vectors), name
+        assert (e.image_vectors, e.closure_vectors, e.eval) == (image, closure_vectors, ev), name
     assert "discrete_n.top" in refused and len(refused) < len(corpus_models + shipped)
 
 

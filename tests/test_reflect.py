@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from corpus import presentation_of_space
 from oracles import (
     adherence_by_trace,
     continuous_point_maps,
@@ -20,7 +21,6 @@ from topolab.corpus import (
     finite_discrete,
     partition_fragment,
     pointed_chain_fragment,
-    presentation_of_space,
     sierpinski_presentation,
 )
 from topolab.fintop import (
@@ -34,7 +34,7 @@ from topolab.fintop import (
     t2_reflection,
 )
 from topolab.reflect import _source_classes, _sweep_counts, weak_reflection_sweep
-from topolab.setalg import OMEGA, DefSet, ds_compare
+from topolab.setalg import OMEGA, DefSet
 from topolab.star import SpacePresentation, adherence, build_star, model_monad, retraction
 
 SIERP = FinSpace(2, (0, 1, 3))
@@ -171,7 +171,7 @@ def test_beta2_of_pointed_chain_not_identity():
     m = build_star(pointed_chain_fragment(3))
     q = t0_reflection(m.space)
     tail = 4
-    assert q.assign[m.atom_of_sample(0)] == q.assign[tail]
+    assert q.assign[m.labels.index(0)] == q.assign[tail]
 
 
 def test_beta2_target_flags(corpus_models):
@@ -232,7 +232,7 @@ def test_adherence_refines_with_more_samples():
         assert set(small_p.samples) <= set(big_p.samples)
         small, big = build_star(small_p), build_star(big_p)
         for j, fine in enumerate(big.atoms):
-            coarse = [i for i, a in enumerate(small.atoms) if ds_compare(fine, a).subset]
+            coarse = [i for i, a in enumerate(small.atoms) if (fine - a).is_empty]
             assert len(coarse) == 1
             adh_small = adherence(small, coarse[0])
             adh_big = adherence(big, j)
@@ -279,7 +279,7 @@ def test_retraction_consistent_with_t0_assignment(corpus_models):
         q = t0_reflection(m.space)
         for i, cls in enumerate(r.assign):
             for x in cls:
-                assert q.assign[i] == q.assign[m.atom_of_sample(x)], (name, i, x)
+                assert q.assign[i] == q.assign[m.labels.index(x)], (name, i, x)
 
 
 def test_retraction_fixes_the_standard_part(named_models):

@@ -16,6 +16,7 @@ from topolab.errors import (
     OutOfGround,
     ParseError,
     PeriodOverflow,
+    SizeCapExceeded,
     UnknownName,
 )
 from topolab.setalg import (
@@ -25,8 +26,6 @@ from topolab.setalg import (
     Ground,
     atoms_of,
     ds_combine,
-    ds_compare,
-    ds_member,
     parse_set_expr,
 )
 
@@ -96,11 +95,11 @@ def defsets():
 # -- membership --------------------------------------------------------
 
 def test_member_examples():
-    assert ds_member(EVENS, 4)
-    assert not ds_member(EVENS, 7)
+    assert 4 in EVENS
+    assert 7 not in EVENS
     s = DefSet(OMEGA, 0b010, 3, 1, 1)  # {1} plus everything from 3 on
-    assert not ds_member(s, 2)
-    assert ds_member(s, 1) and ds_member(s, 3) and ds_member(s, 100)
+    assert 2 not in s
+    assert 1 in s and 3 in s and 100 in s
 
 
 def test_member_finite_ground():
@@ -108,7 +107,7 @@ def test_member_finite_ground():
     s = DefSet.from_members(g, [0, 2])
     assert 2 in s and 1 not in s
     with pytest.raises(OutOfGround):
-        ds_member(s, 4)
+        4 in s
     with pytest.raises(OutOfGround):
         DefSet.from_members(g, [5])
 
@@ -127,6 +126,30 @@ def test_canonicalization_preserves_membership(raw):
 def test_canonical_parameters_are_minimal(raw):
     s = DefSet(OMEGA, *raw)
     assert (s.low, s.threshold, s.period, s.residues) == reference_canonical(*raw)
+
+
+def test_finite_tail_and_progressions_match_their_members():
+    # built in one shift each; pinned to the point-by-point construction
+    for n in range(40):
+        g = Ground(n)
+        for start in range(45):
+            assert DefSet.tail(g, start) == DefSet.from_members(g, range(start, n))
+            for step in range(1, 45):
+                assert (DefSet.arithmetic(g, start, step)
+                        == DefSet.from_members(g, range(start, n, step))), (n, start, step)
+
+
+def test_finite_ground_cap():
+    g = Ground(PERIOD_CAP)
+    start = time.perf_counter()
+    assert DefSet.tail(g, 0) == DefSet.full(g)
+    assert DefSet.tail(g, PERIOD_CAP - 1).low == 1 << (PERIOD_CAP - 1)
+    assert DefSet.arithmetic(g, 3, 1023).low.bit_count() == len(range(3, PERIOD_CAP, 1023))
+    # a start past the ground builds nothing, however far out it lies
+    assert DefSet.arithmetic(Ground(8), 2 ** 40, 2 ** 41).is_empty
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(SizeCapExceeded, match=f"1048577 points exceeds cap {PERIOD_CAP}"):
+        Ground(PERIOD_CAP + 1)
 
 
 def test_canonical_known_case():
@@ -320,53 +343,34 @@ def test_complement_agrees_pointwise(a):
 
 
 # -- Boolean laws (the identities the star map must commute with) -------
+# canonical forms make == extensional equality, so == decides each law
 
 @given(defsets(), defsets())
 @settings(max_examples=1000, deadline=None)
 def test_de_morgan(a, b):
-    assert ds_compare(~(a | b), ~a & ~b).equal
-    assert ds_compare(~(a & b), ~a | ~b).equal
+    assert ~(a | b) == ~a & ~b
+    assert ~(a & b) == ~a | ~b
 
 
 @given(defsets(), defsets(), defsets())
 @settings(max_examples=1000, deadline=None)
 def test_distributivity(a, b, c):
-    assert ds_compare(a & (b | c), (a & b) | (a & c)).equal
-    assert ds_compare(a | (b & c), (a | b) & (a | c)).equal
+    assert a & (b | c) == (a & b) | (a & c)
+    assert a | (b & c) == (a | b) & (a | c)
 
 
 @given(defsets(), defsets())
 @settings(max_examples=1000, deadline=None)
 def test_double_complement_and_absorption(a, b):
-    assert ds_compare(~~a, a).equal
-    assert ds_compare(a | (a & b), a).equal
-    assert ds_compare(a & (a | b), a).equal
+    assert ~~a == a
+    assert a | (a & b) == a
+    assert a & (a | b) == a
 
 
 @given(defsets(), defsets())
 @settings(max_examples=1000, deadline=None)
 def test_difference_as_intersection_with_complement(a, b):
-    assert ds_compare(a - b, a & ~b).equal
-
-
-# -- comparison ----------------------------------------------------------
-
-def test_compare_examples():
-    g3 = DefSet.from_members(OMEGA, [1, 2, 3])
-    r = ds_compare(DefSet.from_members(OMEGA, [1, 2]), g3)
-    assert r.subset and not r.superset and not r.equal and not r.disjoint
-    r = ds_compare(EVENS, ODDS)
-    assert r.disjoint and r.incomparable
-    with pytest.raises(GroundMismatch):
-        ds_compare(EVENS, DefSet.from_members(Ground(4), [1]))
-
-
-@given(defsets())
-@settings(max_examples=1000, deadline=None)
-def test_compare_reflexive(a):
-    r = ds_compare(a, a)
-    assert r.equal and r.subset and r.superset
-    assert r.disjoint == a.is_empty
+    assert a - b == a & ~b
 
 
 # -- atoms ----------------------------------------------------------------
@@ -374,7 +378,7 @@ def test_compare_reflexive(a):
 def test_atoms_two_generators():
     gens = (DefSet.from_members(OMEGA, [1]), DefSet.from_members(OMEGA, [1, 2]))
     atoms = atoms_of(gens, OMEGA)
-    assert [a.members_below(8) for a in atoms] == [[1], [2], [0, 3, 4, 5, 6, 7]]
+    assert [[m for m in range(8) if m in a] for a in atoms] == [[1], [2], [0, 3, 4, 5, 6, 7]]
 
 
 def test_atoms_chain_generators():
@@ -404,17 +408,17 @@ def test_atom_partition(gens):
     for i, a in enumerate(atoms):
         assert not a.is_empty
         for b in atoms[i + 1:]:
-            assert ds_compare(a, b).disjoint
+            assert (a & b).is_empty
     union = DefSet.empty(OMEGA)
     for a in atoms:
         union = union | a
-    assert ds_compare(union, DefSet.full(OMEGA)).equal
+    assert union == DefSet.full(OMEGA)
     for g in gens:
         below = DefSet.empty(OMEGA)
         for a in atoms:
-            if ds_compare(a, g).subset:
+            if (a - g).is_empty:
                 below = below | a
-        assert ds_compare(below, g).equal
+        assert below == g
 
 
 # -- expression parser -----------------------------------------------------
