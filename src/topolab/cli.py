@@ -14,9 +14,9 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import fintop
+from ._record import Record, _set
 from .corpus import chain_space
 from .dcomp import check_family_continuous, dcomp_crosscheck, dcomp_embed, dyad_family_of
 from .errors import (
@@ -62,15 +62,19 @@ MAX_LABEL_TERMS = 1 << 12
 # -- presentation files ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PresentationFile:
+class PresentationFile(Record):
     """Parsed presentation: named sets, subbase and sample selections, maps."""
 
-    ground: Ground
-    sets: tuple[tuple[str, DefSet], ...]
-    subbase: tuple[str, ...]
-    samples: tuple[int, ...]
-    maps: tuple[tuple[str, DefMap], ...] = ()
+    __slots__ = ("ground", "sets", "subbase", "samples", "maps")
+
+    def __init__(self, ground: Ground, sets: tuple[tuple[str, DefSet], ...],
+                 subbase: tuple[str, ...], samples: tuple[int, ...],
+                 maps: tuple[tuple[str, DefMap], ...] = ()):
+        _set(self, "ground", ground)
+        _set(self, "sets", sets)
+        _set(self, "subbase", subbase)
+        _set(self, "samples", samples)
+        _set(self, "maps", maps)
 
     def presentation(self) -> SpacePresentation:
         named = dict(self.sets)
@@ -235,21 +239,25 @@ def parse_presentation(text: str) -> PresentationFile:
 # -- reports -----------------------------------------------------------
 
 
-@dataclass
-class ReportItem:
-    name: str
-    status: str
-    detail: str = ""
-    witness: str = ""
+class ReportItem(Record):
+    __slots__ = ("name", "status", "detail", "witness")
+
+    def __init__(self, name: str, status: str, detail: str = "", witness: str = ""):
+        _set(self, "name", name)
+        _set(self, "status", status)
+        _set(self, "detail", detail)
+        _set(self, "witness", witness)
 
 
-@dataclass
 class Report:
-    command: str
-    source: str
-    items: list[ReportItem] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    elapsed_ms: float = 0.0
+    __slots__ = ("command", "source", "items", "summary", "elapsed_ms")
+
+    def __init__(self, command: str, source: str):
+        self.command = command
+        self.source = source
+        self.items: list[ReportItem] = []
+        self.summary: dict = {}
+        self.elapsed_ms = 0.0
 
     def add(self, name: str, status: str, detail: str = "", witness: str = "") -> None:
         self.items.append(ReportItem(name, status, detail, witness))
@@ -350,8 +358,7 @@ def _write_dot(m: StarModel, path: str) -> None:
 def cmd_check(m: StarModel, args: argparse.Namespace, report: Report) -> None:
     misses = m.presentation.sample_misses()
     if misses:
-        report.add("sample-hitting", WARN,
-                   f"subbase sets without samples: {misses}")
+        report.add("sample-hitting", WARN, f"subbase sets without samples: {misses}")
     else:
         report.add("sample-hitting", PASS, "every nonempty subbase set holds a sample")
     bad = star_identity_violations(m)
@@ -399,8 +406,7 @@ def cmd_reflect(m: StarModel, args: argparse.Namespace, report: Report) -> None:
                      witness=f"opens={len(q.target.opens)}")
     again = t0_reflection(q.target) if kind == "t0" else t2_reflection(q.target)
     report.check("idempotent", again.is_identity)
-    report.summary.update(atoms=m.space.n, classes=q.target.n,
-                          assign=list(q.assign))
+    report.summary.update(atoms=m.space.n, classes=q.target.n, assign=list(q.assign))
 
 
 def cmd_beta(m: StarModel, args: argparse.Namespace, report: Report) -> None:
@@ -463,9 +469,6 @@ def cmd_dcomp(m: StarModel, args: argparse.Namespace, report: Report) -> None:
 def cmd_enumerate(n: int, report: Report) -> None:
     check_enum_size(n)
     counts = []
-    all_ok_equiv = True
-    all_ok_mono = True
-    all_ok_t2 = True
     witness_equiv = witness_mono = witness_t2 = ""
     for k in range(n + 1):
         spaces = list(enumerate_topologies(k))
@@ -473,18 +476,15 @@ def cmd_enumerate(n: int, report: Report) -> None:
         for s in spaces:
             rep = property_report(s)
             if not (rep.regular == rep.completely_regular == rep.all_opens_closed):
-                all_ok_equiv = False
                 witness_equiv = witness_equiv or repr(s.opens)
             if (rep.t2 and not rep.t1) or (rep.t1 and not rep.t0):
-                all_ok_mono = False
                 witness_mono = witness_mono or repr(s.opens)
             if rep.t2 != (len(s.opens) == 1 << s.n):
-                all_ok_t2 = False
                 witness_t2 = witness_t2 or repr(s.opens)
-    report.check("regular-eq-completely-regular-eq-clopen", all_ok_equiv,
+    report.check("regular-eq-completely-regular-eq-clopen", not witness_equiv,
                  witness=witness_equiv)
-    report.check("t2-implies-t1-implies-t0", all_ok_mono, witness=witness_mono)
-    report.check("t2-iff-discrete", all_ok_t2, witness=witness_t2)
+    report.check("t2-implies-t1-implies-t0", not witness_mono, witness=witness_mono)
+    report.check("t2-iff-discrete", not witness_t2, witness=witness_t2)
     report.summary.update(counts=counts, total=sum(counts))
 
 

@@ -10,8 +10,9 @@ image is the T0 reflection of the star model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
+from ._record import Record, _set
 from .errors import FamilyTooLarge, GroundMismatch, SizeCapExceeded
 from .fintop import MAX_POINTS, FinSpace, generate_topology, is_homeomorphism, t0_reflection
 # unused here, but topobench's tracer self-test checks that this binding is patched
@@ -21,15 +22,17 @@ from .star import SpacePresentation, StarModel, star_of
 FAMILY_CAP = 16
 
 
-@dataclass(frozen=True)
-class DyadFamily:
+class DyadFamily(Record):
     """Characteristic maps into the dyad, one per listed set; the map of G
     sends x to 0 iff x ∈ G, so continuity is exactly G being fragment-open."""
 
-    maps: tuple[DefSet, ...]
+    __slots__ = ("maps",)
+
+    def __init__(self, maps: Sequence[DefSet]):
+        _set(self, "maps", tuple(maps))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "maps", tuple(self.maps))
         grounds = {g.ground for g in self.maps}
         if len(grounds) > 1:
             raise GroundMismatch("family members span several grounds")
@@ -46,17 +49,20 @@ def check_family_continuous(m: StarModel, fam: DyadFamily) -> bool:
     return all(g in opens for g in fam.maps)
 
 
-@dataclass(frozen=True)
-class DyadEmbedding:
+class DyadEmbedding(Record):
     """Evaluation result: realized vectors, their subspace of the dyad power,
     the product-closure subspace, and where the samples land."""
 
-    family: DyadFamily
-    image_vectors: tuple[int, ...]
-    image: FinSpace
-    closure_vectors: tuple[int, ...]
-    closure: FinSpace
-    eval: tuple[int, ...]
+    __slots__ = ("family", "image_vectors", "image", "closure_vectors", "closure", "eval")
+
+    def __init__(self, family: DyadFamily, image_vectors: tuple[int, ...], image: FinSpace,
+                 closure_vectors: tuple[int, ...], closure: FinSpace, eval: tuple[int, ...]):
+        _set(self, "family", family)
+        _set(self, "image_vectors", image_vectors)
+        _set(self, "image", image)
+        _set(self, "closure_vectors", closure_vectors)
+        _set(self, "closure", closure)
+        _set(self, "eval", eval)
 
 
 def _cylinder_space(vectors: tuple[int, ...], k: int) -> FinSpace:
@@ -117,15 +123,18 @@ def dcomp_embed(m: StarModel, fam: DyadFamily) -> DyadEmbedding:
     return DyadEmbedding(fam, image_vectors, image, closure_vectors, clo, ev)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(Record):
     """The T0 target, the dyad image and, when they are homeomorphic, the
     homeomorphism as the image index of each target point."""
 
-    target: FinSpace
-    image: FinSpace
-    homeomorphic: bool
-    iso: tuple[int, ...] | None
+    __slots__ = ("target", "image", "homeomorphic", "iso")
+
+    def __init__(self, target: FinSpace, image: FinSpace, homeomorphic: bool,
+                 iso: tuple[int, ...] | None):
+        _set(self, "target", target)
+        _set(self, "image", image)
+        _set(self, "homeomorphic", homeomorphic)
+        _set(self, "iso", iso)
 
 
 def dcomp_crosscheck(m: StarModel, emb: DyadEmbedding) -> CrosscheckReport:

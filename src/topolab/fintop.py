@@ -19,12 +19,12 @@ kernel in _kernels builds it from the closed tuples of monads.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from typing import Iterator, Sequence
 
+from ._record import Record, _set
 from .errors import SizeCapExceeded
 
-MAX_POINTS = 16
+MAX_POINTS = 64
 MAX_FAMILY = 1 << 16
 MAX_ISO_POINTS = 10
 MAX_ENUM_POINTS = 4
@@ -35,8 +35,7 @@ PROPERTY_FLAGS = (
 )
 
 
-@dataclass(frozen=True)
-class FinSpace:
+class FinSpace(Record):
     """Finite space: point count and the sorted family of open bitmasks.
 
     A finite topology is determined by its monads, the minimal open
@@ -47,9 +46,12 @@ class FinSpace:
     the library builds every derived space the second way.
     """
 
-    n: int
-    opens: tuple[int, ...]
-    monads: InitVar[Sequence[int] | None] = None
+    __slots__ = ("n", "opens", "_members", "_monads")
+
+    def __init__(self, n: int, opens: tuple[int, ...], monads: Sequence[int] | None = None):
+        _set(self, "n", n)
+        _set(self, "opens", opens)
+        self.__post_init__(monads)
 
     def __post_init__(self, monads):
         if not 0 <= self.n <= MAX_POINTS:
@@ -93,9 +95,9 @@ class FinSpace:
                 for o in fam:
                     if (o | mx) not in members:
                         raise ValueError(f"opens not closed under union/intersection at {o}, {mx}")
-        object.__setattr__(self, "opens", fam)
-        object.__setattr__(self, "_members", members)
-        object.__setattr__(self, "_monads", monads)
+        _set(self, "opens", fam)
+        _set(self, "_members", members)
+        _set(self, "_monads", monads)
 
     @property
     def full(self) -> int:
@@ -166,21 +168,17 @@ def monad(s: FinSpace, x: int) -> int:
     return s._monads[x]
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     """Separation and compactness flags with one witness per false flag."""
 
-    t0: bool
-    t1: bool
-    t2: bool
-    regular: bool
-    completely_regular: bool
-    normal: bool
-    all_opens_closed: bool
-    compact: bool
-    locally_compact: bool
-    supercompact: bool
-    witnesses: tuple[tuple[str, tuple[int, ...]], ...]
+    __slots__ = PROPERTY_FLAGS + ("witnesses",)
+
+    def __init__(self, witnesses: tuple[tuple[str, tuple[int, ...]], ...], **flags: bool):
+        if flags.keys() != set(PROPERTY_FLAGS):
+            raise TypeError(f"PropertyReport takes the flags {PROPERTY_FLAGS} by name")
+        for name in PROPERTY_FLAGS:
+            _set(self, name, flags[name])
+        _set(self, "witnesses", witnesses)
 
     def flags(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in PROPERTY_FLAGS}
@@ -410,8 +408,7 @@ def _classes_by_key(keys: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     return classes, assign
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(Record):
     """Surjective continuous point map whose target carries the final topology.
 
     The check runs on monads.  U is final-open iff q⁻¹(U) is open.  As q is
@@ -425,12 +422,16 @@ class QuotientMap:
     same points are equal iff their monads are.
     """
 
-    source: FinSpace
-    target: FinSpace
-    assign: tuple[int, ...]
+    __slots__ = ("source", "target", "assign")
+
+    def __init__(self, source: FinSpace, target: FinSpace, assign: tuple[int, ...]):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "assign", assign)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "assign", tuple(self.assign))
+        _set(self, "assign", tuple(self.assign))
         if len(self.assign) != self.source.n:
             raise ValueError("assign must cover every source point")
         if set(self.assign) != set(range(self.target.n)):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from ._record import Record, _set
 from .fintop import (
     FinSpace,
     QuotientMap,
@@ -28,16 +28,20 @@ from .fintop import (
 from .star import adherence, retraction  # noqa: F401
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     """Totals of `weak_reflection_sweep` and its failing (source, target)
     index pairs; `nonunique_pairs` is structurally empty (see there)."""
 
-    sources: int
-    targets: int
-    maps: int
-    unfactored_pairs: tuple[tuple[int, int], ...]
-    nonunique_pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("sources", "targets", "maps", "unfactored_pairs", "nonunique_pairs")
+
+    def __init__(self, sources: int, targets: int, maps: int,
+                 unfactored_pairs: tuple[tuple[int, int], ...],
+                 nonunique_pairs: tuple[tuple[int, int], ...]):
+        _set(self, "sources", sources)
+        _set(self, "targets", targets)
+        _set(self, "maps", maps)
+        _set(self, "unfactored_pairs", unfactored_pairs)
+        _set(self, "nonunique_pairs", nonunique_pairs)
 
 
 def _class_tables(quotients: list[QuotientMap]) -> list[np.ndarray]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -28,18 +27,22 @@ from .errors import (
     SizeCapExceeded,
     UnknownName,
 )
-from .fintop import MAX_POINTS
+from ._record import Record, _set
 
 PERIOD_CAP = 1 << 20
 GENERATOR_CAP = 16
+MAX_ATOMS = 16
 
 
-@dataclass(frozen=True)
-class Ground:
+class Ground(Record):
     """Point universe: Ground(n) is {0,...,n-1}, Ground(None) is the naturals.
     A finite ground has at most PERIOD_CAP points, so a set's bitmask does too."""
 
-    size: int | None = None
+    __slots__ = ("size",)
+
+    def __init__(self, size: int | None = None):
+        _set(self, "size", size)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.size is not None and self.size < 0:
@@ -87,8 +90,7 @@ def _replicate(word: int, d: int, n: int) -> int:
     return word & ((1 << n) - 1)
 
 
-@dataclass(frozen=True)
-class DefSet:
+class DefSet(Record):
     """One definable set in canonical form.
 
     Finite ground: `low` is the membership bitmask on [0, size), with
@@ -99,11 +101,16 @@ class DefSet:
     canonicalizes, so any valid description may be passed in.
     """
 
-    ground: Ground
-    low: int
-    threshold: int
-    period: int = 1
-    residues: int = 0
+    __slots__ = ("ground", "low", "threshold", "period", "residues")
+
+    def __init__(self, ground: Ground, low: int, threshold: int, period: int = 1,
+                 residues: int = 0):
+        _set(self, "ground", ground)
+        _set(self, "low", low)
+        _set(self, "threshold", threshold)
+        _set(self, "period", period)
+        _set(self, "residues", residues)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.threshold < 0 or self.period < 1:
@@ -121,23 +128,27 @@ class DefSet:
         if self.threshold > PERIOD_CAP:
             raise PeriodOverflow(f"threshold {self.threshold} exceeds cap {PERIOD_CAP}")
         low, t, p, res = _canonical(self.low, self.threshold, self.period, self.residues)
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "threshold", t)
-        object.__setattr__(self, "period", p)
-        object.__setattr__(self, "residues", res)
+        _set(self, "low", low)
+        _set(self, "threshold", t)
+        _set(self, "period", p)
+        _set(self, "residues", res)
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def from_members(ground: Ground, members: Iterable[int]) -> "DefSet":
-        """Finite collection of points, e.g. {1, 3, 7}."""
-        mask = 0
+        """Finite collection of points, e.g. {1, 3, 7}, set bit by bit in a
+        bytearray and read as one int: linear in the points and the width."""
+        limit = PERIOD_CAP if ground.size is None else ground.size
+        members = list(members)
+        buf = bytearray((min(max(members, default=0), limit) >> 3) + 1)
         for m in members:
-            if m not in ground:
-                raise OutOfGround(f"{m} is not in {ground!r}")
-            if m >= PERIOD_CAP and not ground.is_finite:
+            if not 0 <= m < limit:
+                if m not in ground:
+                    raise OutOfGround(f"{m} is not in {ground!r}")
                 raise PeriodOverflow(f"threshold {m + 1} of point {m} exceeds cap {PERIOD_CAP}")
-            mask |= 1 << m
+            buf[m >> 3] |= 1 << (m & 7)
+        mask = int.from_bytes(buf, "little")
         if ground.is_finite:
             return DefSet(ground, mask, ground.size)
         return DefSet(ground, mask, mask.bit_length())
@@ -322,7 +333,7 @@ def atoms_of(gens: Sequence[DefSet], ground: Ground) -> list[DefSet]:
     output order the lexicographic order of those choice vectors.  Empty
     partial intersections are pruned, and each nonempty one lies above an
     atom, so before the atom cap refuses the descent meets at most
-    MAX_POINTS + 1 nonempty cells per level: the cost is linear in the
+    MAX_ATOMS + 1 nonempty cells per level: the cost is linear in the
     generator count rather than 2**k.  No generators yield the ground
     itself as the single atom, or nothing over an empty ground; a
     generator over another ground raises GroundMismatch.
@@ -333,10 +344,10 @@ def atoms_of(gens: Sequence[DefSet], ground: Ground) -> list[DefSet]:
         if cell.is_empty:
             return
         if i == len(gens):
-            if len(out) == MAX_POINTS:
+            if len(out) == MAX_ATOMS:
                 raise SizeCapExceeded(
                     f"the {len(gens)} generators split the ground into more than "
-                    f"{MAX_POINTS} atoms, the point cap of a model")
+                    f"{MAX_ATOMS} atoms, the point cap of a model")
             out.append(cell)
             return
         descend(i + 1, ds_combine("inter", cell, gens[i]))

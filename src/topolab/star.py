@@ -20,10 +20,10 @@ source, which is what replaces measurability at this scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import fintop
+from ._record import Record, _set
 from .errors import (
     AtomCapExceeded,
     GroundMismatch,
@@ -46,17 +46,18 @@ from .setalg import (
 )
 
 
-@dataclass(frozen=True)
-class SpacePresentation:
+class SpacePresentation(Record):
     """Ground set, subbase of definable opens, and designated sample points."""
 
-    ground: Ground
-    subbase: tuple[DefSet, ...]
-    samples: tuple[int, ...]
+    __slots__ = ("ground", "subbase", "samples")
+
+    def __init__(self, ground: Ground, subbase: Sequence[DefSet], samples: Sequence[int]):
+        _set(self, "ground", ground)
+        _set(self, "subbase", tuple(subbase))
+        _set(self, "samples", tuple(samples))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "subbase", tuple(self.subbase))
-        object.__setattr__(self, "samples", tuple(self.samples))
         for g in self.subbase:
             if g.ground != self.ground:
                 raise GroundMismatch(f"subbase set over {g.ground!r}, not {self.ground!r}")
@@ -74,8 +75,7 @@ class SpacePresentation:
                 if not g.is_empty and not any(s in g for s in self.samples)]
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(Record):
     """The atoms of one model over their common window (threshold, period).
 
     words[i] is atom i redescribed over that window and packed as one
@@ -85,9 +85,12 @@ class Frame:
     the algebra becomes a mask test on the packed words.
     """
 
-    threshold: int
-    period: int
-    words: tuple[int, ...]
+    __slots__ = ("threshold", "period", "words")
+
+    def __init__(self, threshold: int, period: int, words: tuple[int, ...]):
+        _set(self, "threshold", threshold)
+        _set(self, "period", period)
+        _set(self, "words", words)
 
     @staticmethod
     def of(atoms: Sequence[DefSet]) -> "Frame":
@@ -124,20 +127,24 @@ def _pack(a: DefSet, t: int, p: int) -> int:
     return low | res << t
 
 
-@dataclass(frozen=True)
-class StarModel:
+class StarModel(Record):
     """Atoms, their space under the star topology, and the sample embedding.
 
     labels[i] is the sample whose singleton is atom i, or None for a
     nonstandard atom; by construction no atom properly contains a sample.
     """
 
-    presentation: SpacePresentation
-    atoms: tuple[DefSet, ...]
-    space: FinSpace
-    embedding: tuple[int, ...]
-    labels: tuple[int | None, ...]
-    frame: Frame
+    __slots__ = ("presentation", "atoms", "space", "embedding", "labels", "frame")
+
+    def __init__(self, presentation: SpacePresentation, atoms: tuple[DefSet, ...],
+                 space: FinSpace, embedding: tuple[int, ...], labels: tuple[int | None, ...],
+                 frame: Frame):
+        _set(self, "presentation", presentation)
+        _set(self, "atoms", atoms)
+        _set(self, "space", space)
+        _set(self, "embedding", embedding)
+        _set(self, "labels", labels)
+        _set(self, "frame", frame)
 
     @property
     def standard_mask(self) -> int:
@@ -201,13 +208,15 @@ def adherence(m: StarModel, atom: int) -> frozenset[int]:
                      if (model_monad(m, a) >> atom) & 1)
 
 
-@dataclass(frozen=True)
-class RetractionMap:
+class RetractionMap(Record):
     """Atom → class of samples with matching closure; identity on standard
     atoms."""
 
-    model: StarModel
-    assign: tuple[frozenset[int], ...]
+    __slots__ = ("model", "assign")
+
+    def __init__(self, model: StarModel, assign: tuple[frozenset[int], ...]):
+        _set(self, "model", model)
+        _set(self, "assign", assign)
 
 
 def retraction(m: StarModel) -> RetractionMap:
@@ -314,10 +323,12 @@ def star_identity_violations(m: StarModel,
     return out
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    covered: bool
-    uncovered: tuple[int, ...]
+class CoverageReport(Record):
+    __slots__ = ("covered", "uncovered")
+
+    def __init__(self, covered: bool, uncovered: tuple[int, ...]):
+        _set(self, "covered", covered)
+        _set(self, "uncovered", uncovered)
 
 
 def robinson_coverage(m: StarModel) -> CoverageReport:
@@ -386,18 +397,19 @@ def sample_space(m: StarModel) -> FinSpace:
 Rule = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class DefMap:
+class DefMap(Record):
     """Total map on the ground: a table on [0, threshold), then per residue
     class r mod len(rules) either ("const", c) or ("shift", d)."""
 
-    ground: Ground
-    table: tuple[int, ...]
-    rules: tuple[Rule, ...] = ()
+    __slots__ = ("ground", "table", "rules")
+
+    def __init__(self, ground: Ground, table: Sequence[int], rules: Sequence[Rule] = ()):
+        _set(self, "ground", ground)
+        _set(self, "table", tuple(table))
+        _set(self, "rules", tuple(rules))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
-        object.__setattr__(self, "rules", tuple(self.rules))
         if self.ground.is_finite:
             if self.rules:
                 raise ValueError("finite-ground maps are plain tables")
@@ -502,14 +514,17 @@ def ds_preimage(f: DefMap, b: DefSet) -> DefSet:
     return DefSet.from_predicate(src, lambda m: f(m) in b, t, p)
 
 
-@dataclass(frozen=True)
-class StarMap:
+class StarMap(Record):
     """Induced atom map between two models, with its continuity verdict."""
 
-    src: StarModel
-    dst: StarModel
-    atom_map: tuple[int, ...]
-    continuous: bool
+    __slots__ = ("src", "dst", "atom_map", "continuous")
+
+    def __init__(self, src: StarModel, dst: StarModel, atom_map: tuple[int, ...],
+                 continuous: bool):
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "atom_map", atom_map)
+        _set(self, "continuous", continuous)
 
     def __call__(self, atom: int) -> int:
         return self.atom_map[atom]

@@ -13,6 +13,7 @@ import pytest
 
 import topolab.cli
 from topolab.cli import main, parse_presentation
+from topolab.dcomp import dcomp_embed, dyad_family_of
 from topolab.errors import ParseError, SizeCapExceeded, UnknownName
 from topolab.fintop import FinSpace, iso_check
 from topolab.star import build_star
@@ -158,10 +159,15 @@ def test_exit_two_on_atom_cap(tmp_path, capsys):
         "error: 17 generators (subbase + samples) exceed cap 16\n")
 
 
-def test_exit_two_on_wide_dyad_closure(capsys):
-    assert main(["dcomp", str(PRES / "discrete_n.top")]) == 2
+def test_exit_two_on_wide_dyad_closure(tmp_path, capsys):
+    # seven nested tails: the atom tail(7) lies in every set, so its vector
+    # is 0 and the closure is all 128 vectors, past the 64-point cap
+    path = tmp_path / "nested.top"
+    path.write_text("ground omega\n" + "".join(f"set T{i} = tail({i})\n" for i in range(1, 8))
+                    + "subbase " + " ".join(f"T{i}" for i in range(1, 8)) + "\nsamples 0\n")
+    assert main(["dcomp", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "outside [0, 16]" in err and "dyad closure" in err
+    assert "more than 64 points, outside [0, 64]" in err and "dyad closure" in err
 
 
 def test_dcomp_and_beta2_answer_past_the_iso_cap(tmp_path, capsys):
@@ -410,6 +416,28 @@ def test_check_on_a_near_discrete_model_within_two_seconds(tmp_path, capsys):
     assert elapsed < 2.0
 
 
+def test_dcomp_on_the_widest_admitted_closure_within_two_seconds(tmp_path, capsys):
+    # points 1, 2 and 3 take these value vectors under 12 maps, and the rest
+    # of omega lies outside every map: the closure has 36 points and 60,140
+    # opens, the widest a search of admitted families found; the wider ones
+    # it found all passed the 2^16-open family cap before the 64-point cap
+    vectors = (2951, 3455, 3951)
+    lines = ["ground omega"]
+    for i in range(12):
+        inside = [str(p) for p, v in enumerate(vectors, 1) if not (v >> i) & 1]
+        lines.append(f"set G{i} = {{{','.join(inside)}}}")
+    lines += ["subbase " + " ".join(f"G{i}" for i in range(12)), "samples 1 2 3"]
+    path = tmp_path / "closure.top"
+    path.write_text("\n".join(lines) + "\n")
+    rc, elapsed = _timed_main(["dcomp", str(path), "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["summary"] == {"family": 12, "image": 4, "closure": 36}
+    assert {item["detail"] for item in doc["items"] if "beta2" in item["name"]} == {"yes"}
+    assert elapsed < 2.0
+    m = build_star(parse_presentation(path.read_text()).presentation())
+    assert len(dcomp_embed(m, dyad_family_of(m.presentation)).closure.opens) == 60140
+
+
 # -- the benchmark's tracer ---------------------------------------------------
 
 def _load_spans():
@@ -500,7 +528,8 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
 
 def _loads_numpy_after(argvs: list[list[str]]) -> tuple[list[int], dict[str, bool]]:
     """Exit codes of the commands run in one cold process, and which of the
-    numpy-backed modules it then holds."""
+    numpy-backed modules, and of the slow-to-import `dataclasses` and
+    `inspect`, it then holds."""
     code = f"""
 import contextlib, io, json, sys
 import topolab.cli
@@ -509,7 +538,8 @@ for argv in {argvs!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rcs.append(topolab.cli.main(argv))
 print(json.dumps([rcs, {{m: m in sys.modules
-                        for m in ("numpy", "topolab._kernels", "topolab.reflect")}}]))
+                        for m in ("numpy", "topolab._kernels", "topolab.reflect",
+                                  "dataclasses", "inspect")}}]))
 """
     proc = _fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
@@ -520,10 +550,11 @@ def test_commands_without_reflections_never_load_numpy(tmp_path):
     sierp = str(PRES / "sierpinski.top")
     rcs, loaded = _loads_numpy_after([
         ["star", sierp], ["check", sierp], ["dot", sierp, "--out", str(tmp_path / "s.dot")],
-        ["dcomp", str(PRES / "discrete_n.top")],  # refused before the crosscheck
+        ["dcomp", str(PRES / "discrete_n.top")],
     ])
-    assert rcs == [0, 0, 0, 2]
-    assert loaded == {"numpy": False, "topolab._kernels": False, "topolab.reflect": False}
+    assert rcs == [0, 0, 0, 0]
+    assert loaded == {"numpy": False, "topolab._kernels": False, "topolab.reflect": False,
+                      "dataclasses": False, "inspect": False}
 
 
 def test_reflection_commands_never_load_numpy():
@@ -534,7 +565,8 @@ def test_reflection_commands_never_load_numpy():
         ["dcomp", upper],  # runs the crosscheck
     ])
     assert rcs == [0] * 6
-    assert loaded == {"numpy": False, "topolab._kernels": False, "topolab.reflect": False}
+    assert loaded == {"numpy": False, "topolab._kernels": False, "topolab.reflect": False,
+                      "dataclasses": False, "inspect": False}
 
 
 # the weak-reflection sweep is the one reflection that needs numpy, and

@@ -43,7 +43,8 @@ def test_finspace_validation():
     with pytest.raises(ValueError):
         FinSpace(3, (0, 3, 5, 7))     # 3 & 5 = 1 missing
     with pytest.raises(SizeCapExceeded):
-        FinSpace(17, (0, (1 << 17) - 1))
+        FinSpace(65, (0, (1 << 65) - 1))
+    assert FinSpace(64, (0, (1 << 64) - 1)).n == 64
     assert FinSpace(2, (3, 0, 3, 1)).opens == (0, 1, 3)  # dedup + sort
 
 
@@ -90,7 +91,8 @@ def test_generate_topology_examples():
     with pytest.raises(ValueError):
         generate_topology(2, [4])
     with pytest.raises(SizeCapExceeded):
-        generate_topology(17, [])
+        generate_topology(65, [])
+    assert generate_topology(64, []).opens == (0, (1 << 64) - 1)
 
 
 def test_closure_and_interior():

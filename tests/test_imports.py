@@ -1,6 +1,6 @@
-"""Static check of the package source: each module uses every name it
-imports.  The package's `__init__` only re-exports, and a line marked
-`# noqa: F401` keeps an import on purpose."""
+"""Static checks of the package source: each module uses every name it
+imports, and none imports `dataclasses`.  The package's `__init__` only
+re-exports, and a line marked `# noqa: F401` keeps an import on purpose."""
 import ast
 from pathlib import Path
 
@@ -39,3 +39,20 @@ def test_the_check_sees_unused_and_marked_imports():
               "from .a import b, c  # noqa: F401\nfrom .d import (\n    e,\n    f,\n)\n"
               "np.zeros(e)\n")
     assert unused_imports(source) == ["line 2: os", "line 5: f"]
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize, which nothing else on
+    # the CLI's path needs; tests/test_cli.py checks the cold process itself
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert found == []

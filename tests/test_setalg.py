@@ -2,7 +2,7 @@
 
 The canonicalization tests use a from-scratch reference: membership is
 evaluated straight off the raw (low, threshold, period, residues) tuple,
-and minimal parameters are re-derived by brute force, so the dataclass
+and minimal parameters are re-derived by brute force, so the constructor's
 normalization is checked against something that shares none of its code.
 """
 import math
@@ -150,6 +150,45 @@ def test_finite_ground_cap():
     assert time.perf_counter() - start < 0.5
     with pytest.raises(SizeCapExceeded, match=f"1048577 points exceeds cap {PERIOD_CAP}"):
         Ground(PERIOD_CAP + 1)
+
+
+def from_members_by_fold(ground, members):
+    """The literal built one `mask |= 1 << m` at a time, with the checks in
+    the order `DefSet.from_members` makes them."""
+    mask = 0
+    for m in members:
+        if m not in ground:
+            raise OutOfGround(f"{m} is not in {ground!r}")
+        if m >= PERIOD_CAP and not ground.is_finite:
+            raise PeriodOverflow(f"threshold {m + 1} of point {m} exceeds cap {PERIOD_CAP}")
+        mask |= 1 << m
+    return DefSet(ground, mask, ground.size if ground.is_finite else mask.bit_length())
+
+
+def _outcome(build, ground, members):
+    try:
+        return build(ground, iter(members))
+    except (OutOfGround, PeriodOverflow) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.sampled_from([OMEGA, Ground(0), Ground(1), Ground(8), Ground(9), Ground(70),
+                        Ground(PERIOD_CAP)]),
+       st.lists(st.integers(-3, 80) | st.sampled_from([PERIOD_CAP - 1, PERIOD_CAP, 10 ** 30]),
+                max_size=30))
+@settings(max_examples=400, deadline=None)
+def test_literal_matches_the_fold(ground, members):
+    # the same set, or the same error for the same first bad point
+    assert _outcome(DefSet.from_members, ground, members) == _outcome(
+        from_members_by_fold, ground, members)
+
+
+def test_literal_on_the_widest_finite_ground_within_half_a_second():
+    g = Ground(PERIOD_CAP)
+    start = time.perf_counter()
+    evens = DefSet.from_members(g, range(0, PERIOD_CAP, 2))
+    assert time.perf_counter() - start < 0.5
+    assert evens == DefSet.arithmetic(g, 0, 2)
 
 
 def test_canonical_known_case():

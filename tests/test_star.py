@@ -4,7 +4,6 @@ Expected atom layouts and masks were worked out by hand from the
 presentations (the chain fragment's algebra has exactly the four cells
 {1},{2},{3},{0}|tail(4)) and frozen here.
 """
-import dataclasses
 
 import pytest
 
@@ -32,7 +31,9 @@ from topolab.fintop import iso_check, property_report
 from topolab.setalg import OMEGA, DefSet, Ground, ds_combine
 from topolab.star import (
     DefMap,
+    Frame,
     SpacePresentation,
+    StarModel,
     algebra_sets,
     build_star,
     density_violations,
@@ -211,7 +212,8 @@ def test_flipped_frame_bit_shows_in_certificate_and_oracle(name, corpus_models):
     for i, bit in flips:
         broken = list(words)
         broken[i] ^= bit
-        bad = dataclasses.replace(m, frame=dataclasses.replace(m.frame, words=tuple(broken)))
+        frame = Frame(m.frame.threshold, m.frame.period, tuple(broken))
+        bad = StarModel(m.presentation, m.atoms, m.space, m.embedding, m.labels, frame)
         assert _shows(star_identity_violations, bad, sets), (name, i, bit)
         assert _shows(oracles.star_identity_pairs, bad, sets), (name, i, bit)
 
