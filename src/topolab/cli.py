@@ -191,8 +191,8 @@ def parse_presentation(text: str) -> PresentationFile:
             except ParseError as exc:
                 col = (exc.col or 1) + offset
                 raise ParseError(exc.base_message, line=lineno, col=col) from None
-            except UnknownName as exc:
-                raise UnknownName(f"line {lineno}: {exc}") from None
+            except UsageError as exc:  # a cap or name error keeps its type
+                raise type(exc)(f"line {lineno}: {exc}") from None
             sets.append((name, value))
             names[name] = value
         elif head == "subbase":
@@ -356,6 +356,7 @@ def _write_dot(m: StarModel, path: str) -> None:
 
 
 def cmd_check(m: StarModel, args: argparse.Namespace, report: Report) -> None:
+    _summarize(report, m)  # refuses an atom past the label cap before any work
     misses = m.presentation.sample_misses()
     if misses:
         report.add("sample-hitting", WARN, f"subbase sets without samples: {misses}")
@@ -384,7 +385,6 @@ def cmd_check(m: StarModel, args: argparse.Namespace, report: Report) -> None:
         report.add("monad-sandwich", INFO, "skipped: coverage fails")
     _report_flags(report, "sample-space-report", property_report(sample_space(m)))
     _report_flags(report, "model-report", rep)
-    _summarize(report, m)
 
 
 def cmd_star(m: StarModel, args: argparse.Namespace, report: Report) -> None:

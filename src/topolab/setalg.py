@@ -360,9 +360,12 @@ def atoms_of(gens: Sequence[DefSet], ground: Ground) -> list[DefSet]:
 # -- set expression parser -------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([{}(),&|!]))")
+_LITERAL = re.compile(r"\{\s*(\d+\s*(?:,\s*\d+\s*)*)?\}")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple]:
+    """(kind, text, col) per token; a well-formed `{...}` literal is one ("lit",
+    "{", col, members) token read in C, and the parser words any other's error."""
     toks = []
     pos = 0
     while pos < len(text):
@@ -373,13 +376,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             col = len(text) - len(stripped) + 1
             raise ParseError(f"unexpected character {stripped[0]!r}", col=col)
+        pos = m.end()
         if m.group(1) is not None:
             toks.append(("num", m.group(1), m.start(1) + 1))
         elif m.group(2) is not None:
             toks.append(("name", m.group(2), m.start(2) + 1))
+        elif m.group(3) == "{" and (lit := _LITERAL.match(text, m.start(3))):
+            members = list(map(int, lit[1].split(","))) if lit[1] else []
+            toks.append(("lit", "{", m.start(3) + 1, members))
+            pos = lit.end()
         else:
             toks.append(("punct", m.group(3), m.start(3) + 1))
-        pos = m.end()
     return toks
 
 
@@ -440,8 +447,11 @@ class _ExprParser:
             out = self.expr()
             self.take("punct", ")")
             return out
+        if tok[0] == "lit":
+            self.i += 1
+            return DefSet.from_members(self.ground, tok[3])
         if tok[:2] == ("punct", "{"):
-            return self.literal()
+            self.literal()  # raises the first error of a literal the tokenizer could not read
         if tok[0] == "name":
             self.i += 1
             if tok[1] == "ap":
@@ -466,25 +476,16 @@ class _ExprParser:
             raise UnknownName(f"unknown set name {tok[1]!r}")
         raise ParseError(f"unexpected {tok[1]!r}", col=tok[2])
 
-    def literal(self) -> DefSet:
+    def literal(self) -> None:
         open_tok = self.take("punct", "{")
-        members = []
-        tok = self.peek()
-        if tok is not None and tok[:2] == ("punct", "}"):
-            self.i += 1
-            return DefSet.from_members(self.ground, members)
         while True:
-            members.append(int(self.take("num")[1]))
+            self.take("num")
             tok = self.peek()
             if tok is None:
                 raise ParseError("unterminated set literal", col=open_tok[2])
-            if tok[:2] == ("punct", ","):
-                self.i += 1
-                continue
-            if tok[:2] == ("punct", "}"):
-                self.i += 1
-                return DefSet.from_members(self.ground, members)
-            raise ParseError(f"expected ',' or '}}', found {tok[1]!r}", col=tok[2])
+            if tok[:2] != ("punct", ","):
+                raise ParseError(f"expected ',' or '}}', found {tok[1]!r}", col=tok[2])
+            self.i += 1
 
 
 def parse_set_expr(text: str, ground: Ground,

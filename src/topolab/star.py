@@ -287,13 +287,17 @@ def star_identity_violations(m: StarModel,
     in star(a) o star(b); hence a o b is the union of the atoms in
     star(a) o star(b), and by (1) those are exactly the atoms inside it.
     The fixed points are (2) and (3) at the empty set and the ground.
+
+    Given (1), (2) and (3) hold at a iff U(s) == a, with s = star_of(a)
+    and U(s) the ds_combine union of the atoms in s, memoized by mask.
+    (3) is U(s) == a, and it gives (2): an atom outside s meets U(s) only
+    in its empty meets with the atoms in s, and is nonempty, so the atoms
+    inside U(s) are s.  Where (1) fails, star_of refuses a or U(s) != a,
+    each atom is tested against a, and that test words the violations.
     """
     ground = m.presentation.ground
     if sets is None:
-        if len(m.atoms) <= 6:
-            sets = algebra_sets(m)
-        else:
-            sets = [m.union_of(o) for o in m.space.opens]
+        sets = algebra_sets(m) if len(m.atoms) <= 6 else [m.union_of(o) for o in m.space.opens]
     out = []
     cover = DefSet.empty(ground)
     for i, atom in enumerate(m.atoms):
@@ -305,7 +309,22 @@ def star_identity_violations(m: StarModel,
         cover = ds_combine("union", cover, atom)
     if cover != DefSet.full(ground):
         out.append("the atoms miss part of the ground")
+    sound = not out
+    unions = {0: DefSet.empty(ground)}
+
+    def atom_union(s: int) -> DefSet:
+        if s not in unions:
+            low = s & -s
+            unions[s] = ds_combine("union", atom_union(s ^ low), m.atoms[low.bit_length() - 1])
+        return unions[s]
+
     for a in (DefSet.empty(ground), DefSet.full(ground), *sets):
+        if sound:
+            try:
+                if atom_union(star_of(m, a)) == a:
+                    continue
+            except (NotInAlgebra, GroundMismatch):
+                pass
         below = 0
         union = DefSet.empty(ground)
         for i, atom in enumerate(m.atoms):

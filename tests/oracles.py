@@ -6,7 +6,8 @@ regularity, complete regularity and normality over every open and closed
 set, every Boolean identity of the star map over every pair of sets,
 local compactness by a search over subsets and covers, and continuity
 and factoring by a search over every point map.  The slower forms of
-eleven fast paths stay here too: the scan of every code word for
+twelve fast paths stay here too: the star-identity certificate that
+tests every listed set atom by atom, the scan of every code word for
 topology enumeration, the weak-reflection sweep over every labeled
 target and every open, its tables built one subset mask at a time, the
 scan of every dyad vector, adherence tested against every member of an
@@ -30,12 +31,13 @@ from typing import Sequence
 import numpy as np
 
 from topolab import _kernels
+from topolab.errors import NotInAlgebra
 from topolab.fintop import (
     FinSpace, QuotientMap, enumerate_topologies, is_homeomorphism, property_report,
     t0_reflection, t2_reflection)
 from topolab.reflect import SweepReport
 from topolab.setalg import DefSet, ds_combine
-from topolab.star import model_monad, sample_space, star_of
+from topolab.star import algebra_sets, model_monad, sample_space, star_of
 
 
 def is_topology(n, family):
@@ -160,6 +162,47 @@ def star_identity_pairs(m, sets):
                 out.append(f"intersection breaks at {a.describe()}, {b.describe()}")
             if star_of(m, ds_combine("diff", a, b)) != masks[i] & ~masks[j] & full:
                 out.append(f"difference breaks at {a.describe()}, {b.describe()}")
+    return out
+
+
+def star_identity_by_atoms(m, sets=None):
+    """The star-identity certificate with every listed set tested atom by
+    atom: (1) the atoms are nonempty, pairwise disjoint and cover the
+    ground, (2) star_of(a) is the set of atoms whose difference with a is
+    empty, and (3) a is the ds_combine union of those atoms, for the empty
+    set, the ground and each listed a."""
+    ground = m.presentation.ground
+    if sets is None:
+        if len(m.atoms) <= 6:
+            sets = algebra_sets(m)
+        else:
+            sets = [m.union_of(o) for o in m.space.opens]
+    out = []
+    cover = DefSet.empty(ground)
+    for i, atom in enumerate(m.atoms):
+        if atom.is_empty:
+            out.append(f"atom {i} is empty")
+        for j in range(i):
+            if not ds_combine("inter", m.atoms[j], atom).is_empty:
+                out.append(f"atoms {j} and {i} overlap")
+        cover = ds_combine("union", cover, atom)
+    if cover != DefSet.full(ground):
+        out.append("the atoms miss part of the ground")
+    for a in (DefSet.empty(ground), DefSet.full(ground), *sets):
+        below = 0
+        union = DefSet.empty(ground)
+        for i, atom in enumerate(m.atoms):
+            if ds_combine("diff", atom, a).is_empty:
+                below |= 1 << i
+                union = ds_combine("union", union, atom)
+        try:
+            star = star_of(m, a)
+        except NotInAlgebra:
+            star = None
+        if star != below:
+            out.append(f"star of {a.describe()} is not the set of atoms inside it")
+        if union != a:
+            out.append(f"{a.describe()} is not the union of the atoms inside it")
     return out
 
 

@@ -14,7 +14,14 @@ import pytest
 import topolab.cli
 from topolab.cli import main, parse_presentation
 from topolab.dcomp import dcomp_embed, dyad_family_of
-from topolab.errors import ParseError, SizeCapExceeded, UnknownName
+from topolab.errors import (
+    GroundMismatch,
+    OutOfGround,
+    ParseError,
+    PeriodOverflow,
+    SizeCapExceeded,
+    UnknownName,
+)
 from topolab.fintop import FinSpace, iso_check
 from topolab.star import build_star
 
@@ -114,6 +121,36 @@ def test_unknown_set_name_reports_line():
     with pytest.raises(UnknownName) as e:
         parse_presentation("ground omega\nsubbase B\nsamples\n")
     assert "line 2" in str(e.value) and "'B'" in str(e.value)
+
+
+@pytest.mark.parametrize("ground, expr, error, text", [
+    ("omega", "{1048576}", PeriodOverflow,
+     "threshold 1048577 of point 1048576 exceeds cap 1048576"),
+    ("omega", "{0}|ap(0,1048577)", PeriodOverflow, "period 1048577 exceeds cap 1048576"),
+    ("finite 3", "{1,5}", OutOfGround, "5 is not in finite(3)"),
+])
+def test_cap_errors_in_set_lines_name_the_line(ground, expr, error, text):
+    with pytest.raises(error) as e:
+        parse_presentation(f"ground {ground}\n# a comment\nset A = {expr}\nsubbase A\n")
+    assert str(e.value) == f"line 3: {text}"
+
+
+@pytest.mark.parametrize("error", [SizeCapExceeded, GroundMismatch])
+def test_unreached_cap_errors_of_a_set_line_keep_their_type(error, monkeypatch, tmp_path,
+                                                            capsys):
+    # no file reaches these inside a set expression today; the line is
+    # named whichever cap error the expression raises
+    def refuse(text, ground, names):
+        raise error("over the cap")
+
+    monkeypatch.setattr(topolab.cli, "parse_set_expr", refuse)
+    with pytest.raises(error) as e:
+        parse_presentation("ground omega\nset A = {1}\n")
+    assert type(e.value) is error and str(e.value) == "line 2: over the cap"
+    path = tmp_path / "capped.top"
+    path.write_text("ground omega\nset A = {1}\nsubbase A\nsamples\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 2: over the cap\n"
 
 
 # -- exit codes and rendering --------------------------------------------
@@ -413,6 +450,36 @@ def test_check_on_a_near_discrete_model_within_two_seconds(tmp_path, capsys):
     status = {item["name"]: item["status"] for item in doc["items"]}
     assert status["star-identities"] == "pass" and status["coverage"] == "info"
     assert rc == 1 and status["monad-sandwich"] == "fail"
+    assert elapsed < 2.0
+
+
+def test_check_on_the_discrete_sixteen_point_model_within_two_seconds(tmp_path, capsys):
+    # 16 singleton opens and no samples: 65,536 opens, each certified by
+    # one union of atoms
+    path = tmp_path / "discrete.top"
+    path.write_text(_singletons_file(16, range(16)))
+    rc, elapsed = _timed_main(["check", str(path), "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["summary"]["opens"] == 65536 and doc["summary"]["atoms"] == 16
+    status = {item["name"]: item["status"] for item in doc["items"]}
+    assert status["star-identities"] == "pass"
+    assert elapsed < 2.0
+
+
+def test_check_refuses_at_the_label_cap_before_any_work(tmp_path, capsys):
+    # 16 atoms; the complement of A has over a million residue classes at
+    # period lcm(1024, 1023), so the labels refuse the model before the
+    # star identities are certified over its opens
+    lines = ["ground omega"] + [f"set P{i} = {{{i}}}" for i in range(14)]
+    lines += ["set A = ap(0,1024) | ap(1,1023)", "set B = !A",
+              "subbase " + " ".join(f"P{i}" for i in range(14)) + " A B", "samples"]
+    path = tmp_path / "labels.top"
+    path.write_text("\n".join(lines) + "\n")
+    rc, elapsed = _timed_main(["check", str(path)])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err == ("error: atom 15 takes 1045506 terms to write out, over the label "
+                       "cap of 4096\n")
     assert elapsed < 2.0
 
 

@@ -6,6 +6,7 @@ and minimal parameters are re-derived by brute force, so the constructor's
 normalization is checked against something that shares none of its code.
 """
 import math
+import re
 import time
 
 import pytest
@@ -216,10 +217,14 @@ def test_describe_round_trip_examples():
         assert parse_set_expr(s.describe(), OMEGA) == s
 
 
-@given(defsets())
+@given(defsets() | st.integers(0, 2 ** 9 - 1).map(lambda mask: DefSet(Ground(9), mask, 9)),
+       st.sampled_from(["", " ", "  \t"]))
 @settings(max_examples=200)
-def test_describe_round_trip(s):
-    assert parse_set_expr(s.describe(), OMEGA) == s
+def test_describe_round_trip(s, space):
+    # spaces around a literal's commas and after its brace read the same
+    text = s.describe()
+    spaced = text.replace(",", space + "," + space).replace("{", "{" + space)
+    assert parse_set_expr(text, s.ground) == parse_set_expr(spaced, s.ground) == s
 
 
 def reference_describe(s):
@@ -499,3 +504,81 @@ def test_parse_error_columns():
         parse_set_expr("ap(1)", OMEGA)
     with pytest.raises(ParseError):
         parse_set_expr("{1,2} {3}", OMEGA)
+
+
+@pytest.mark.parametrize("text, message, col", [
+    ("{1,,2}", "expected num, found ','", 4),
+    ("{1 2}", "expected ',' or '}', found '2'", 4),
+    ("{1,", "expected num, found end of expression", 4),
+    ("{a}", "expected num, found 'a'", 2),
+    ("{1", "unterminated set literal", 1),
+    ("{1 {2}}", "expected ',' or '}', found '{'", 4),
+    ("{1,2} {3}", "trailing '{'", 7),
+])
+def test_literal_errors_keep_their_text_and_column(text, message, col):
+    with pytest.raises(ParseError) as e:
+        parse_set_expr(text, OMEGA)
+    assert (e.value.base_message, e.value.col) == (message, col)
+
+
+def test_literals_with_spaces_and_empty_literals():
+    assert parse_set_expr("{ 1 , 2 }", OMEGA) == DefSet.from_members(OMEGA, [1, 2])
+    assert parse_set_expr("{}", OMEGA) == parse_set_expr("{ \t}", OMEGA) == DefSet.empty(OMEGA)
+
+
+_TOKEN_KIND = {1: "num", 2: "name", 3: "punct"}
+
+
+def literal_by_tokens(text):
+    """One literal read token by token, as the grammar states it: the
+    members, or the ParseError's message and column."""
+    toks = [(_TOKEN_KIND[m.lastindex], m.group(m.lastindex), m.start(m.lastindex) + 1)
+            for m in re.finditer(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([{}(),&|!]))", text)]
+    toks.append(("end", "end of expression", len(text) + 1))
+    members, i = [], 1
+    if toks[1][:2] == ("punct", "}"):
+        i = 2
+    else:
+        while True:
+            if toks[i][0] != "num":
+                found = toks[i][1] if toks[i][0] == "end" else repr(toks[i][1])
+                return "expected num, found " + found, toks[i][2]
+            members.append(int(toks[i][1]))
+            if toks[i + 1][0] == "end":
+                return "unterminated set literal", 1
+            i += 2
+            if toks[i - 1][:2] == ("punct", "}"):
+                break
+            if toks[i - 1][:2] != ("punct", ","):
+                return f"expected ',' or '}}', found {toks[i - 1][1]!r}", toks[i - 1][2]
+    out = DefSet.from_members(OMEGA, members)
+    if toks[i][0] != "end":
+        return f"trailing {toks[i][1]!r}", toks[i][2]
+    return out
+
+
+@given(st.text(st.sampled_from("0123456789,, ,{}a"), max_size=20))
+@settings(max_examples=600, deadline=None)
+def test_literal_matches_the_token_grammar(body):
+    text = "{" + body
+    try:
+        got = parse_set_expr(text, OMEGA)
+    except ParseError as exc:
+        got = exc.base_message, exc.col
+    except PeriodOverflow as exc:
+        got = str(exc)
+    try:
+        expected = literal_by_tokens(text)
+    except PeriodOverflow as exc:
+        expected = str(exc)
+    assert got == expected
+
+
+def test_widest_literal_parses_within_one_second():
+    # every 2nd point of the widest finite ground, a 3.6 MB literal
+    g = Ground(PERIOD_CAP)
+    text = "{" + ",".join(map(str, range(0, PERIOD_CAP, 2))) + "}"
+    start = time.perf_counter()
+    evens = parse_set_expr(text, g)
+    assert time.perf_counter() - start < 1.0
+    assert evens == DefSet.arithmetic(g, 0, 2)

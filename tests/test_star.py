@@ -5,10 +5,14 @@ presentations (the chain fragment's algebra has exactly the four cells
 {1},{2},{3},{0}|tail(4)) and frozen here.
 """
 
+import itertools
+from pathlib import Path
+
 import pytest
 
 import oracles
 from corpus import corpus_maps, presentation_of_space
+import topolab.star
 from topolab.errors import (
     AtomCapExceeded,
     GroundMismatch,
@@ -27,6 +31,7 @@ from topolab.corpus import (
     pointed_chain_fragment,
     sierpinski_presentation,
 )
+from topolab.cli import parse_presentation
 from topolab.fintop import iso_check, property_report
 from topolab.setalg import OMEGA, DefSet, Ground, ds_combine
 from topolab.star import (
@@ -195,27 +200,98 @@ def _shows(check, m, sets):
         return True
 
 
-@pytest.mark.parametrize("name", ["chain3", "pointed_chain2", "discrete3", "partition3",
-                                  "finite_discrete3", "sierpinski"])
+def _flipped_frames(m):
+    """m with one frame word bit flipped: a point of atom 0 dropped, that
+    point given to the last atom too, and atom 0 flipped at the top bit."""
+    words = m.frame.words
+    window = 0
+    for w in words:
+        window |= w
+    out = []
+    for i, bit in [(0, words[0] & -words[0]), (len(words) - 1, words[0] & -words[0]),
+                   (0, 1 << (window.bit_length() - 1))]:
+        broken = list(words)
+        broken[i] ^= bit
+        frame = Frame(m.frame.threshold, m.frame.period, tuple(broken))
+        out.append(StarModel(m.presentation, m.atoms, m.space, m.embedding, m.labels, frame))
+    return out
+
+
+BROKEN = ["chain3", "pointed_chain2", "discrete3", "partition3", "finite_discrete3", "sierpinski"]
+
+
+@pytest.mark.parametrize("name", BROKEN)
 def test_flipped_frame_bit_shows_in_certificate_and_oracle(name, corpus_models):
     # the sets come from the atoms by ds_combine, not from the frame, so a
     # broken frame word cannot hide in them
     m = next(m for n, _, m in corpus_models if n == name)
     sets = [_union_fold(m, mask) for mask in range(1 << len(m.atoms))]
-    words = m.frame.words
-    window = 0
-    for w in words:
-        window |= w
-    flips = [(0, words[0] & -words[0]),                  # drop a point of atom 0
-             (len(words) - 1, words[0] & -words[0]),     # give it to the last atom too
-             (0, 1 << (window.bit_length() - 1))]        # flip atom 0 at the top bit
-    for i, bit in flips:
-        broken = list(words)
-        broken[i] ^= bit
-        frame = Frame(m.frame.threshold, m.frame.period, tuple(broken))
-        bad = StarModel(m.presentation, m.atoms, m.space, m.embedding, m.labels, frame)
-        assert _shows(star_identity_violations, bad, sets), (name, i, bit)
-        assert _shows(oracles.star_identity_pairs, bad, sets), (name, i, bit)
+    for bad in _flipped_frames(m):
+        assert _shows(star_identity_violations, bad, sets), name
+        assert _shows(oracles.star_identity_pairs, bad, sets), name
+
+
+def _shipped_models():
+    pres = Path(__file__).resolve().parent.parent / "presentations"
+    return [(path.name, build_star(parse_presentation(path.read_text()).presentation()))
+            for path in sorted(pres.glob("*.top"))]
+
+
+def test_certificate_matches_the_atom_by_atom_oracle(named_models):
+    # one union per set gives the violations of testing every atom against
+    # every set, on the default sets and on the whole algebra
+    for name, m in named_models + _shipped_models():
+        for sets in (None, algebra_sets(m)):
+            assert star_identity_violations(m, sets) == oracles.star_identity_by_atoms(
+                m, sets), name
+
+
+def test_certificate_makes_one_union_per_set(named_models, monkeypatch):
+    # over the whole algebra each nonempty mask is one union, after the
+    # n(n-1)/2 meets and n unions of the partition test; a sound model
+    # never falls back to testing atoms one by one
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return ds_combine(*args)
+
+    monkeypatch.setattr(topolab.star, "ds_combine", counting)
+    for name, m in named_models:
+        n = len(m.atoms)
+        calls.clear()
+        assert star_identity_violations(m, algebra_sets(m)) == [], name
+        assert calls.count("inter") == n * (n - 1) // 2, name
+        assert calls.count("union") == n + (1 << n) - 1 == len(calls) - n * (n - 1) // 2, name
+
+
+def test_certificate_refuses_a_set_over_another_ground(chain3):
+    other = [DefSet.from_members(Ground(3), [1])]
+    with pytest.raises(GroundMismatch) as want:
+        oracles.star_identity_by_atoms(chain3, other)
+    with pytest.raises(GroundMismatch) as got:
+        star_identity_violations(chain3, other)
+    assert str(got.value) == str(want.value) == "omega vs finite(3)"
+
+
+@pytest.mark.parametrize("name", BROKEN)
+def test_certificate_matches_the_oracle_on_broken_models(name, corpus_models):
+    # flipped frame bits, overlapping atoms, and atoms that miss a point
+    m = next(m for n, _, m in corpus_models if n == name)
+    atoms = m.atoms
+    point = next(x for x in itertools.count() if x in atoms[0])
+    first = DefSet.from_members(m.presentation.ground, (point,))
+    broken = _flipped_frames(m)
+    for changed in ((ds_combine("union", atoms[0], atoms[1]),) + atoms[1:],
+                    (ds_combine("diff", atoms[0], first),) + atoms[1:]):
+        broken.append(StarModel(m.presentation, changed, m.space, m.embedding, m.labels,
+                                m.frame))
+    sets = [_union_fold(m, mask) for mask in range(1 << len(atoms))]
+    for bad in broken:
+        # the default sets come from the broken frame, so they may hide it
+        assert star_identity_violations(bad) == oracles.star_identity_by_atoms(bad), name
+        expected = oracles.star_identity_by_atoms(bad, sets)
+        assert expected and star_identity_violations(bad, sets) == expected, name
 
 
 def test_star_restricts_to_samples(corpus_models):
