@@ -54,12 +54,12 @@ from .star import (
     StarMap,
     StarModel,
     adherence,
-    algebra_sets,
     build_star,
     density_violations,
     dm_compose,
     ds_preimage,
     fragment_continuous,
+    is_fragment_open,
     model_monad,
     retraction,
     robinson_coverage,

@@ -17,7 +17,7 @@ from .errors import FamilyTooLarge, GroundMismatch, SizeCapExceeded
 from .fintop import MAX_POINTS, FinSpace, generate_topology, is_homeomorphism, t0_reflection
 # unused here, but topobench's tracer self-test checks that this binding is patched
 from .setalg import DefSet, ds_combine  # noqa: F401
-from .star import SpacePresentation, StarModel, star_of
+from .star import SpacePresentation, StarModel, is_fragment_open, star_of
 
 FAMILY_CAP = 16
 
@@ -45,8 +45,7 @@ def dyad_family_of(p: SpacePresentation) -> DyadFamily:
 
 def check_family_continuous(m: StarModel, fam: DyadFamily) -> bool:
     """Each member's 0-preimage must be open in the fragment topology."""
-    opens = {m.union_of(o) for o in m.space.opens}
-    return all(g in opens for g in fam.maps)
+    return all(is_fragment_open(m, g) for g in fam.maps)
 
 
 class DyadEmbedding(Record):

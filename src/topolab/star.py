@@ -261,43 +261,31 @@ def retraction(m: StarModel) -> RetractionMap:
     return RetractionMap(m, tuple(assign))
 
 
-def algebra_sets(m: StarModel) -> list[DefSet]:
-    """Every member of the finite algebra, i.e. every union of atoms."""
-    return [m.union_of(mask) for mask in range(1 << len(m.atoms))]
-
-
-def star_identity_violations(m: StarModel,
-                             sets: Sequence[DefSet] | None = None) -> list[str]:
-    """Certify the star identities for every pair from `sets`.
+def star_identity_violations(m: StarModel) -> list[str]:
+    """Certify the star identities over the whole algebra.
 
     The identities: star of the empty set is empty, star of the ground is
     every atom, and star of a union / intersection / difference /
     complement is the mask union / intersection / difference / complement,
-    where star(a) is the set of atoms inside a.  With sets=None the whole
-    algebra is used up to 6 atoms, the fragment opens beyond that.
+    where star(a) is the set of atoms inside a.
 
-    The check is linear in len(sets).  It tests that
+    With k atoms the check makes k(k-1)/2 meets, k unions and k star_of
+    calls, whatever the open count.  It tests that
       (1) the atoms are nonempty, pairwise disjoint and cover the ground,
           so each point p lies in exactly one atom, atom(p);
-      (2) for each listed a, star_of(a) is {i : atom_i minus a is empty};
-      (3) each listed a is the union of the atoms in star_of(a).
-    Proof that the identities then hold for every pair a, b: by (3) and
-    (1), p is in a iff atom(p) is in star(a), since p lies in no other
-    atom.  So for each Boolean operation o, p is in a o b iff atom(p) is
-    in star(a) o star(b); hence a o b is the union of the atoms in
-    star(a) o star(b), and by (1) those are exactly the atoms inside it.
-    The fixed points are (2) and (3) at the empty set and the ground.
-
-    Given (1), (2) and (3) hold at a iff U(s) == a, with s = star_of(a)
-    and U(s) the ds_combine union of the atoms in s, memoized by mask.
-    (3) is U(s) == a, and it gives (2): an atom outside s meets U(s) only
-    in its empty meets with the atoms in s, and is nonempty, so the atoms
-    inside U(s) are s.  Where (1) fails, star_of refuses a or U(s) != a,
-    each atom is tested against a, and that test words the violations.
+      (2) star_of(atom_i) is {i} for each i.
+    Proof that the identities then hold for every pair of unions of atoms:
+    by (2), mask_of(atom_i) = {i}, so frame word i is the (threshold,
+    period) window of atom i, and by (1) the words are nonempty and
+    pairwise disjoint.  The window of a union is the OR of the windows, so
+    for every union a of the atoms in s, star_of(a) is s and union_of(s)
+    is a.  By (1), p is in a iff atom(p) is in star(a), since p lies in no
+    other atom.  So for each Boolean operation o, p is in a o b iff atom(p)
+    is in star(a) o star(b); hence a o b is the union of the atoms in
+    star(a) o star(b), and star(a o b) is that mask.  The empty set and the
+    ground are the unions of no atom and of every atom.
     """
     ground = m.presentation.ground
-    if sets is None:
-        sets = algebra_sets(m) if len(m.atoms) <= 6 else [m.union_of(o) for o in m.space.opens]
     out = []
     cover = DefSet.empty(ground)
     for i, atom in enumerate(m.atoms):
@@ -309,37 +297,23 @@ def star_identity_violations(m: StarModel,
         cover = ds_combine("union", cover, atom)
     if cover != DefSet.full(ground):
         out.append("the atoms miss part of the ground")
-    sound = not out
-    unions = {0: DefSet.empty(ground)}
-
-    def atom_union(s: int) -> DefSet:
-        if s not in unions:
-            low = s & -s
-            unions[s] = ds_combine("union", atom_union(s ^ low), m.atoms[low.bit_length() - 1])
-        return unions[s]
-
-    for a in (DefSet.empty(ground), DefSet.full(ground), *sets):
-        if sound:
-            try:
-                if atom_union(star_of(m, a)) == a:
-                    continue
-            except (NotInAlgebra, GroundMismatch):
-                pass
-        below = 0
-        union = DefSet.empty(ground)
-        for i, atom in enumerate(m.atoms):
-            if ds_combine("diff", atom, a).is_empty:
-                below |= 1 << i
-                union = ds_combine("union", union, atom)
+    for i, atom in enumerate(m.atoms):
         try:
-            star = star_of(m, a)
+            alone = star_of(m, atom) == 1 << i
         except NotInAlgebra:
-            star = None
-        if star != below:
-            out.append(f"star of {a.describe()} is not the set of atoms inside it")
-        if union != a:
-            out.append(f"{a.describe()} is not the union of the atoms inside it")
+            alone = False
+        if not alone:
+            out.append(f"star of atom {i} is not atom {i} alone")
     return out
+
+
+def is_fragment_open(m: StarModel, a: DefSet) -> bool:
+    """Whether a is a fragment open: a union of atoms whose star is a model open."""
+    try:
+        s = star_of(m, a)
+    except (NotInAlgebra, GroundMismatch):
+        return False
+    return m.space.is_open(s) and m.union_of(s) == a
 
 
 class CoverageReport(Record):
@@ -608,9 +582,11 @@ def star_map(f: DefMap, sm: StarModel, dm: StarModel) -> StarMap:
 
 def fragment_continuous(f: DefMap, sm: StarModel, dm: StarModel) -> bool:
     """Ground-level continuity: preimages of target fragment opens are source
-    fragment opens (as definable sets)."""
-    src_opens = {sm.union_of(o) for o in sm.space.opens}
-    for o in dm.space.opens:
-        if ds_preimage(f, dm.union_of(o)) not in src_opens:
-            return False
-    return True
+    fragment opens (as definable sets).
+
+    Only the target monads are pulled back: preimages keep unions, the
+    target fragment opens are the unions of the monads' sets, and the
+    source fragment opens are closed under union.
+    """
+    return all(is_fragment_open(sm, ds_preimage(f, dm.union_of(model_monad(dm, b))))
+               for b in range(len(dm.atoms)))

@@ -6,9 +6,11 @@ regularity, complete regularity and normality over every open and closed
 set, every Boolean identity of the star map over every pair of sets,
 local compactness by a search over subsets and covers, and continuity
 and factoring by a search over every point map.  The slower forms of
-twelve fast paths stay here too: the star-identity certificate that
-tests every listed set atom by atom, the scan of every code word for
-topology enumeration, the weak-reflection sweep over every labeled
+fourteen fast paths stay here too: the star-identity certificate that
+tests every listed set atom by atom, the fragment-openness of a dyad
+family and the ground-level continuity of a definable map, both tested
+against the ground set of every model open, the scan of every code word
+for topology enumeration, the weak-reflection sweep over every labeled
 target and every open, its tables built one subset mask at a time, the
 scan of every dyad vector, adherence tested against every member of an
 ultrafilter trace, the homeomorphism search over every permutation of
@@ -21,9 +23,10 @@ well, though it holds by construction.  They are quadratic or worse in
 the number of opens (the searches are exponential) and run only in the
 tests, where they are compared with the monad-based code in
 `topolab.fintop` (the final-topology check of a quotient among it), the
-linear certificates and the monad adherence in `topolab.star`, the
-kernels in `topolab._kernels`, the orbit sweep in `topolab.reflect`, and
-the signature image in `topolab.dcomp`.
+per-atom certificate, the frame test of fragment-openness and the monad
+adherence in `topolab.star`, the kernels in `topolab._kernels`, the
+orbit sweep in `topolab.reflect`, and the signature image in
+`topolab.dcomp`.
 """
 import itertools
 from typing import Sequence
@@ -37,7 +40,7 @@ from topolab.fintop import (
     t0_reflection, t2_reflection)
 from topolab.reflect import SweepReport
 from topolab.setalg import DefSet, ds_combine
-from topolab.star import algebra_sets, model_monad, sample_space, star_of
+from topolab.star import ds_preimage, model_monad, sample_space, star_of
 
 
 def is_topology(n, family):
@@ -165,6 +168,11 @@ def star_identity_pairs(m, sets):
     return out
 
 
+def algebra_sets(m):
+    """Every member of the finite algebra, i.e. every union of atoms."""
+    return [m.union_of(mask) for mask in range(1 << len(m.atoms))]
+
+
 def star_identity_by_atoms(m, sets=None):
     """The star-identity certificate with every listed set tested atom by
     atom: (1) the atoms are nonempty, pairwise disjoint and cover the
@@ -204,6 +212,23 @@ def star_identity_by_atoms(m, sets=None):
         if union != a:
             out.append(f"{a.describe()} is not the union of the atoms inside it")
     return out
+
+
+def family_continuous_by_opens(m, fam):
+    """Whether every member of a dyad family is the ground set of some
+    model open, looked up among the ground sets of all the opens."""
+    opens = {m.union_of(o) for o in m.space.opens}
+    return all(g in opens for g in fam.maps)
+
+
+def fragment_continuous_by_opens(f, sm, dm):
+    """Whether the preimage under f of the ground set of every target open
+    is the ground set of some source open."""
+    src_opens = {sm.union_of(o) for o in sm.space.opens}
+    for o in dm.space.opens:
+        if ds_preimage(f, dm.union_of(o)) not in src_opens:
+            return False
+    return True
 
 
 def _covers_have_subcover(sub: FinSpace) -> bool:

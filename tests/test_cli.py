@@ -82,6 +82,9 @@ def test_parse_maps_both_grounds():
     ("ground omega\nsubbase\nsamples x\n", 3, None, "natural numbers"),
     ("ground bogus\nsubbase\nsamples\n", 1, None, "bad ground"),
     ("ground omega\nsubbase\nsamples 1 1\n", 3, None, "duplicate sample 1"),
+    ("ground omega\nset ap = {1}\nsubbase ap\nsamples 1\n", 2, None, "'ap' is reserved"),
+    ("ground omega\nset tail = {1}\nset B = tail | {2}\nsubbase B\nsamples 1\n", 2, None,
+     "'tail' is reserved"),
 ])
 def test_parse_errors_carry_position(text, line, col, fragment):
     with pytest.raises(ParseError) as e:
@@ -385,6 +388,41 @@ def test_reflections_at_the_family_cap_within_two_seconds(tmp_path, capsys, argv
     assert elapsed < 2.0
 
 
+# 13 singleton opens beside three sets of period 1024, 1,047,552 and 1024:
+# 16 atoms, 24,579 opens and a common period of 1,047,552
+WIDE_OMEGA = "".join(["ground omega\n", *(f"set P{i} = {{{100 + i}}}\n" for i in range(13)),
+                      "set A = ap(0,1024)\nset B = ap(0,1024) & ap(0,1023)\n",
+                      "set C = !ap(0,1024)\n",
+                      "subbase " + " ".join(f"P{i}" for i in range(13)) + " A B C\n",
+                      "samples\n"])
+
+
+@pytest.mark.parametrize("command,code,err", [
+    ("check", 0, ""), ("dcomp", 2, "open family exceeds 65536 sets")])
+def test_certificates_on_a_wide_period_within_two_seconds(tmp_path, command, code, err):
+    # the star identities and the family's openness go through the frame,
+    # never through one definable set per open; each run is a fresh process
+    path = tmp_path / "wide.top"
+    path.write_text(WIDE_OMEGA)
+    start = time.perf_counter()
+    proc = _fresh("-m", "topolab.cli", command, str(path))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == code and err in proc.stderr, proc.stderr
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["star"], 0), (["reflect", "--kind", "t0"], 0), (["reflect", "--kind", "t2"], 0),
+    (["beta"], 0), (["beta2"], 0), (["retract"], 1)])  # no sample, so no retraction
+def test_model_commands_on_a_wide_period_within_two_seconds(tmp_path, capsys, argv, code):
+    path = tmp_path / "wide.top"
+    path.write_text(WIDE_OMEGA)
+    rc, elapsed = _timed_main([argv[0], str(path), *argv[1:], "--format", "structured"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == code and doc["summary"]["atoms"] == 16
+    assert elapsed < 2.0
+
+
 def test_thresholds_at_the_period_cap_within_two_seconds(tmp_path, capsys):
     # a threshold is bounded as a period is: the last point under the cap
     # answers, and a point, tail or progression start past it is refused
@@ -454,8 +492,8 @@ def test_check_on_a_near_discrete_model_within_two_seconds(tmp_path, capsys):
 
 
 def test_check_on_the_discrete_sixteen_point_model_within_two_seconds(tmp_path, capsys):
-    # 16 singleton opens and no samples: 65,536 opens, each certified by
-    # one union of atoms
+    # 16 singleton opens and no samples: 65,536 opens, while the
+    # certificate tests only the 16 atoms
     path = tmp_path / "discrete.top"
     path.write_text(_singletons_file(16, range(16)))
     rc, elapsed = _timed_main(["check", str(path), "--format", "structured"])

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import dyad_vectors_by_scan, subspace
+from oracles import algebra_sets, dyad_vectors_by_scan, family_continuous_by_opens, subspace
 from topolab.cli import parse_presentation
 from topolab.corpus import (
     chain_fragment,
@@ -49,6 +49,23 @@ def test_family_validation():
 def test_canonical_family_continuous(corpus_models):
     for name, p, m in corpus_models:
         assert check_family_continuous(m, dyad_family_of(p)), name
+
+
+def test_family_continuity_matches_the_ground_set_of_every_open(named_models):
+    # the canonical family, and each algebra member as a family of one, on
+    # the corpus, the enumerated models and the shipped files
+    models = [m for _, m in named_models]
+    models += [build_star(parse_presentation(path.read_text()).presentation())
+               for path in sorted(PRES.glob("*.top"))]
+    seen = set()
+    for m in models:
+        families = [dyad_family_of(m.presentation)]
+        families += [DyadFamily((a,)) for a in algebra_sets(m)]
+        for fam in families:
+            ok = check_family_continuous(m, fam)
+            assert ok == family_continuous_by_opens(m, fam)
+            seen.add(ok)
+    assert seen == {True, False}
 
 
 def test_noncontinuous_and_nonalgebra_members():

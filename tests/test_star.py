@@ -32,19 +32,19 @@ from topolab.corpus import (
     sierpinski_presentation,
 )
 from topolab.cli import parse_presentation
-from topolab.fintop import iso_check, property_report
+from topolab.fintop import FinSpace, iso_check, property_report
 from topolab.setalg import OMEGA, DefSet, Ground, ds_combine
 from topolab.star import (
     DefMap,
     Frame,
     SpacePresentation,
     StarModel,
-    algebra_sets,
     build_star,
     density_violations,
     dm_compose,
     ds_preimage,
     fragment_continuous,
+    is_fragment_open,
     model_monad,
     robinson_coverage,
     sample_space,
@@ -217,6 +217,21 @@ def _flipped_frames(m):
     return out
 
 
+def _partition_messages(violations):
+    return [v for v in violations if v.endswith(("is empty", "overlap", "of the ground"))]
+
+
+def _agrees_with_the_oracle(bad, sets, name):
+    """The certificate on a broken model against the atom-by-atom oracle:
+    the same verdict over the algebra `sets`, the same partition messages,
+    and a violation wherever the oracle finds one on its default sets."""
+    got = star_identity_violations(bad)
+    expected = oracles.star_identity_by_atoms(bad, sets)
+    assert bool(got) == bool(expected), name
+    assert _partition_messages(got) == _partition_messages(expected), name
+    assert got or not oracles.star_identity_by_atoms(bad), name
+
+
 BROKEN = ["chain3", "pointed_chain2", "discrete3", "partition3", "finite_discrete3", "sierpinski"]
 
 
@@ -227,8 +242,9 @@ def test_flipped_frame_bit_shows_in_certificate_and_oracle(name, corpus_models):
     m = next(m for n, _, m in corpus_models if n == name)
     sets = [_union_fold(m, mask) for mask in range(1 << len(m.atoms))]
     for bad in _flipped_frames(m):
-        assert _shows(star_identity_violations, bad, sets), name
+        assert star_identity_violations(bad), name
         assert _shows(oracles.star_identity_pairs, bad, sets), name
+        _agrees_with_the_oracle(bad, sets, name)
 
 
 def _shipped_models():
@@ -237,41 +253,29 @@ def _shipped_models():
             for path in sorted(pres.glob("*.top"))]
 
 
-def test_certificate_matches_the_atom_by_atom_oracle(named_models):
-    # one union per set gives the violations of testing every atom against
-    # every set, on the default sets and on the whole algebra
-    for name, m in named_models + _shipped_models():
-        for sets in (None, algebra_sets(m)):
-            assert star_identity_violations(m, sets) == oracles.star_identity_by_atoms(
-                m, sets), name
-
-
-def test_certificate_makes_one_union_per_set(named_models, monkeypatch):
-    # over the whole algebra each nonempty mask is one union, after the
-    # n(n-1)/2 meets and n unions of the partition test; a sound model
-    # never falls back to testing atoms one by one
-    calls = []
+def test_certificate_makes_a_fixed_number_of_calls(named_models, monkeypatch):
+    # k(k-1)/2 meets and k unions test the partition, then one star_of per
+    # atom, however many opens and algebra members the model has
+    calls, stars = [], []
 
     def counting(*args):
         calls.append(args[0])
         return ds_combine(*args)
 
+    def counting_star(m, a):
+        stars.append(a)
+        return star_of(m, a)
+
     monkeypatch.setattr(topolab.star, "ds_combine", counting)
-    for name, m in named_models:
-        n = len(m.atoms)
+    monkeypatch.setattr(topolab.star, "star_of", counting_star)
+    for name, m in named_models + _shipped_models():
+        k = len(m.atoms)
         calls.clear()
-        assert star_identity_violations(m, algebra_sets(m)) == [], name
-        assert calls.count("inter") == n * (n - 1) // 2, name
-        assert calls.count("union") == n + (1 << n) - 1 == len(calls) - n * (n - 1) // 2, name
-
-
-def test_certificate_refuses_a_set_over_another_ground(chain3):
-    other = [DefSet.from_members(Ground(3), [1])]
-    with pytest.raises(GroundMismatch) as want:
-        oracles.star_identity_by_atoms(chain3, other)
-    with pytest.raises(GroundMismatch) as got:
-        star_identity_violations(chain3, other)
-    assert str(got.value) == str(want.value) == "omega vs finite(3)"
+        stars.clear()
+        assert star_identity_violations(m) == [], name
+        assert calls.count("inter") == k * (k - 1) // 2, name
+        assert calls.count("union") == k == len(calls) - k * (k - 1) // 2, name
+        assert stars == list(m.atoms), name
 
 
 @pytest.mark.parametrize("name", BROKEN)
@@ -288,16 +292,14 @@ def test_certificate_matches_the_oracle_on_broken_models(name, corpus_models):
                                 m.frame))
     sets = [_union_fold(m, mask) for mask in range(1 << len(atoms))]
     for bad in broken:
-        # the default sets come from the broken frame, so they may hide it
-        assert star_identity_violations(bad) == oracles.star_identity_by_atoms(bad), name
-        expected = oracles.star_identity_by_atoms(bad, sets)
-        assert expected and star_identity_violations(bad, sets) == expected, name
+        _agrees_with_the_oracle(bad, sets, name)
 
 
 def test_star_restricts_to_samples(corpus_models):
     # standard atoms inside star(A) correspond exactly to samples inside A
     for name, p, m in corpus_models:
-        sets = algebra_sets(m) if len(m.atoms) <= 6 else [m.union_of(o) for o in m.space.opens]
+        sets = (oracles.algebra_sets(m) if len(m.atoms) <= 6
+                else [m.union_of(o) for o in m.space.opens])
         for a in sets:
             mask = star_of(m, a)
             for pos, s in enumerate(p.samples):
@@ -570,3 +572,48 @@ def test_continuity_equivalence_on_corpus():
         assert ok == sm.continuous, name
         seen_discontinuous |= not ok
     assert seen_discontinuous  # the identity into the discrete fragment breaks
+
+
+def _self_maps(ground):
+    """The identity, the shift by one and the constant 0 on a ground."""
+    return [DefMap.identity(ground), DefMap.shift(ground, 1), DefMap.constant(ground, 0)]
+
+
+def test_fragment_continuity_matches_the_preimage_of_every_open(corpus_models,
+                                                                   enum_models):
+    # pulling back the target monads decides what pulling back every target
+    # open decides: on the corpus maps, the identity into the discrete
+    # fragment, maps of each corpus and shipped model to itself, and maps
+    # between the enumerated models
+    cases = [(f, build_star(src), build_star(dst)) for _, f, src, dst in corpus_maps()]
+    cases.append((DefMap.identity(OMEGA), build_star(chain_fragment(3)),
+                  build_star(discrete_fragment(3))))
+    for m in [m for _, _, m in corpus_models] + [m for _, m in _shipped_models()]:
+        cases += [(f, m, m) for f in _self_maps(m.presentation.ground)]
+    for _, m, s in enum_models:
+        ground = m.presentation.ground
+        discrete = build_star(presentation_of_space(FinSpace(s.n, tuple(range(1 << s.n)))))
+        rotate = DefMap(ground, tuple((x + 1) % s.n for x in range(s.n)))
+        cases += [(f, m, m) for f in _self_maps(ground) + [rotate]]
+        cases += [(DefMap.identity(ground), m, discrete), (DefMap.identity(ground), discrete, m)]
+    seen = set()
+    for f, sm, dm in cases:
+        ok = fragment_continuous(f, sm, dm)
+        assert ok == oracles.fragment_continuous_by_opens(f, sm, dm)
+        seen.add(ok)
+    assert seen == {True, False}
+
+
+def test_fragment_open_needs_the_model_ground(chain3):
+    assert not is_fragment_open(chain3, DefSet.from_members(Ground(3), [1]))
+
+
+def test_fragment_open_needs_an_algebra_member(chain3):
+    assert not is_fragment_open(chain3, DefSet.from_members(OMEGA, [1, 4]))
+
+
+def test_fragment_open_needs_an_open_star(chain3):
+    a = DefSet.from_members(OMEGA, [2])
+    assert chain3.union_of(star_of(chain3, a)) == a
+    assert not is_fragment_open(chain3, a)
+    assert is_fragment_open(chain3, DefSet.from_members(OMEGA, [1, 2]))
