@@ -22,6 +22,7 @@ from .dcomp import check_family_continuous, dcomp_crosscheck, dcomp_embed, dyad_
 from .errors import (
     NoRetraction,
     ParseError,
+    PeriodOverflow,
     SizeCapExceeded,
     TopolabError,
     UnknownName,
@@ -36,7 +37,7 @@ from .fintop import (
     t0_reflection,
     t2_reflection,
 )
-from .setalg import OMEGA, DefSet, Ground, parse_set_expr
+from .setalg import OMEGA, PERIOD_CAP, DefSet, Ground, parse_set_expr
 from .star import (
     DefMap,
     SpacePresentation,
@@ -216,6 +217,9 @@ def parse_presentation(text: str) -> PresentationFile:
             for s in samples:
                 if s in seen:
                     raise ParseError(f"duplicate sample {s}", line=lineno)
+                if s >= PERIOD_CAP:
+                    raise PeriodOverflow(
+                        f"line {lineno}: threshold {s + 1} of point {s} exceeds cap {PERIOD_CAP}")
                 seen.add(s)
         elif head == "map":
             if ground is None:
@@ -303,8 +307,11 @@ def render_structured(report: Report) -> str:
 
 
 def _load(path: str) -> SpacePresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read()).presentation()
+    with open(path, "rb") as fh:
+        try:
+            return parse_presentation(fh.read().decode("utf-8")).presentation()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _atom_label(m: StarModel, i: int) -> str:

@@ -32,6 +32,7 @@ from ._record import Record, _set
 PERIOD_CAP = 1 << 20
 GENERATOR_CAP = 16
 MAX_ATOMS = 16
+MAX_NESTING = 100  # `(` and `!` levels in one set expression, well inside the recursion limit
 
 
 class Ground(Record):
@@ -277,16 +278,17 @@ def _canonical(low: int, t: int, p: int, res: int) -> tuple[int, int, int, int]:
     return low & ((1 << t) - 1), t, p, res
 
 
-def ds_window(s: DefSet, t: int, p: int) -> tuple[int, int]:
-    """s redescribed over threshold t and period p, as (low, residues).
+def ds_window(s: DefSet, t: int, p: int) -> int:
+    """s redescribed over threshold t and period p, packed as one int
+    `low | residues << t`.
 
     Needs t >= s.threshold and p a multiple of s.period; the residues
     repeat out to p and the tail pattern fills the low bits in
-    [s.threshold, t).  A finite-ground set comes back as (low, 0).
+    [s.threshold, t).  A finite-ground set comes back as its low mask.
     """
     res = _replicate(s.residues, s.period, p)
     fill = _replicate(res, p, t) >> s.threshold << s.threshold
-    return s.low | fill, res
+    return s.low | fill | res << t
 
 
 _OPS: dict[str, Callable[[int, int], int]] = {
@@ -319,9 +321,8 @@ def ds_combine(op: str, a: DefSet, b: DefSet | None = None) -> DefSet:
     p = math.lcm(a.period, b.period)
     if p > PERIOD_CAP:
         raise PeriodOverflow(f"lcm({a.period}, {b.period}) = {p} exceeds cap {PERIOD_CAP}")
-    low_a, res_a = ds_window(a, t, p)
-    low_b, res_b = ds_window(b, t, p)
-    return DefSet(a.ground, f(low_a, low_b), t, p, f(res_a, res_b))
+    word = f(ds_window(a, t, p), ds_window(b, t, p))
+    return DefSet(a.ground, word & ((1 << t) - 1), t, p, word >> t)
 
 
 def atoms_of(gens: Sequence[DefSet], ground: Ground) -> list[DefSet]:
@@ -329,32 +330,36 @@ def atoms_of(gens: Sequence[DefSet], ground: Ground) -> list[DefSet]:
     signature order.
 
     Each atom is the nonempty intersection of every generator or its
-    complement; the branch order (generator before complement) makes the
-    output order the lexicographic order of those choice vectors.  Empty
-    partial intersections are pruned, and each nonempty one lies above an
-    atom, so before the atom cap refuses the descent meets at most
-    MAX_ATOMS + 1 nonempty cells per level: the cost is linear in the
-    generator count rather than 2**k.  No generators yield the ground
-    itself as the single atom, or nothing over an empty ground; a
-    generator over another ground raises GroundMismatch.
+    complement.  Each generator is packed once by `ds_window` over the
+    common window (T the largest threshold, P the lcm of the periods), and
+    each level splits every cell word by it, generator part first, so the
+    atoms come out in the lexicographic order of those choice vectors.
+    Every kept cell lies above an atom, so a level of more than MAX_ATOMS
+    cells is refused at once; only the atoms become DefSets.  The window is
+    the atoms' own: each atom meets generators and complements, so it fits
+    (T, P); each generator is a union of atoms, so it fits theirs; and a
+    canonical window is the componentwise minimum.  So refusing P past
+    PERIOD_CAP refuses just the generators whose atoms would overflow.  No
+    generators yield the ground as the single atom, or none over an empty
+    ground; a generator over another ground raises GroundMismatch.
     """
-    out: list[DefSet] = []
-
-    def descend(i: int, cell: DefSet) -> None:
-        if cell.is_empty:
-            return
-        if i == len(gens):
-            if len(out) == MAX_ATOMS:
-                raise SizeCapExceeded(
-                    f"the {len(gens)} generators split the ground into more than "
-                    f"{MAX_ATOMS} atoms, the point cap of a model")
-            out.append(cell)
-            return
-        descend(i + 1, ds_combine("inter", cell, gens[i]))
-        descend(i + 1, ds_combine("diff", cell, gens[i]))
-
-    descend(0, DefSet.full(ground))
-    return out
+    for g in gens:
+        if g.ground != ground:
+            raise GroundMismatch(f"{g.ground!r} vs {ground!r}")
+    full = DefSet.full(ground)
+    t = max((g.threshold for g in gens), default=full.threshold)
+    p = math.lcm(*(g.period for g in gens))
+    if p > PERIOD_CAP:
+        raise PeriodOverflow(f"the generators' common period {p} exceeds cap {PERIOD_CAP}")
+    cells = [c for c in (ds_window(full, t, p),) if c]
+    for g in gens:
+        w = ds_window(g, t, p)
+        cells = [d for c in cells for d in (c & w, c & ~w) if d]
+        if len(cells) > MAX_ATOMS:
+            raise SizeCapExceeded(
+                f"the {len(gens)} generators split the ground into more than "
+                f"{MAX_ATOMS} atoms, the point cap of a model")
+    return [DefSet(ground, c & (1 << t) - 1, t, p, c >> t) for c in cells]
 
 
 # -- set expression parser -------------------------------------------
@@ -392,7 +397,8 @@ def _tokenize(text: str) -> list[tuple]:
 
 class _ExprParser:
     """Recursive descent over: expr := term ('|' term)*, term := factor ('&' factor)*,
-    factor := '!' factor | '{...}' | ap(s,p) | tail(t) | name | '(' expr ')'."""
+    factor := '!' factor | '{...}' | ap(s,p) | tail(t) | name | '(' expr ')';
+    a `!` or `(` nested past MAX_NESTING levels is refused."""
 
     def __init__(self, text: str, ground: Ground, names: Mapping[str, DefSet]):
         self.toks = _tokenize(text)
@@ -400,6 +406,7 @@ class _ExprParser:
         self.ground = ground
         self.names = names
         self.end_col = len(text) + 1
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -439,13 +446,15 @@ class _ExprParser:
         tok = self.peek()
         if tok is None:
             raise ParseError("expected a set expression", col=self.end_col)
-        if tok[:2] == ("punct", "!"):
+        if tok[:2] in (("punct", "!"), ("punct", "(")):
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"nested deeper than {MAX_NESTING} levels", col=tok[2])
             self.i += 1
-            return ds_combine("complement", self.factor())
-        if tok[:2] == ("punct", "("):
-            self.i += 1
-            out = self.expr()
-            self.take("punct", ")")
+            self.depth += 1
+            out = ds_combine("complement", self.factor()) if tok[1] == "!" else self.expr()
+            if tok[1] == "(":
+                self.take("punct", ")")
+            self.depth -= 1
             return out
         if tok[0] == "lit":
             self.i += 1

@@ -94,16 +94,15 @@ class Frame(Record):
 
     @staticmethod
     def of(atoms: Sequence[DefSet]) -> "Frame":
+        """No period check: `atoms_of` held this window, its generators', to PERIOD_CAP."""
         t = max((a.threshold for a in atoms), default=0)
         p = math.lcm(*(a.period for a in atoms))
-        if p > PERIOD_CAP:
-            raise PeriodOverflow(f"common atom period {p} exceeds cap {PERIOD_CAP}")
-        return Frame(t, p, tuple(_pack(a, t, p) for a in atoms))
+        return Frame(t, p, tuple(ds_window(a, t, p) for a in atoms))
 
     def mask_of(self, a: DefSet) -> int:
         """Atoms below a, as a mask; NotInAlgebra unless a is their union."""
         if a.threshold <= self.threshold and self.period % a.period == 0:
-            word = _pack(a, self.threshold, self.period)
+            word = ds_window(a, self.threshold, self.period)
             mask = cover = 0
             for i, w in enumerate(self.words):
                 if not w & ~word:
@@ -120,11 +119,6 @@ class Frame(Record):
                 word |= w
         t = self.threshold
         return DefSet(ground, word & ((1 << t) - 1), t, self.period, word >> t)
-
-
-def _pack(a: DefSet, t: int, p: int) -> int:
-    low, res = ds_window(a, t, p)
-    return low | res << t
 
 
 class StarModel(Record):

@@ -6,26 +6,28 @@ regularity, complete regularity and normality over every open and closed
 set, every Boolean identity of the star map over every pair of sets,
 local compactness by a search over subsets and covers, and continuity
 and factoring by a search over every point map.  The slower forms of
-fourteen fast paths stay here too: the star-identity certificate that
-tests every listed set atom by atom, the fragment-openness of a dyad
-family and the ground-level continuity of a definable map, both tested
-against the ground set of every model open, the scan of every code word
-for topology enumeration, the weak-reflection sweep over every labeled
-target and every open, its tables built one subset mask at a time, the
-scan of every dyad vector, adherence tested against every member of an
-ultrafilter trace, the homeomorphism search over every permutation of
-the points, the final topology of a quotient by a scan of every target
-subset, continuity by the preimage of every open, the monad sandwich
-over every pair of nested opens, and the local compactness and
-supercompactness loops that the finite case makes theorems.  The test
-that the sample space is homeomorphic to the standard atoms stays as
-well, though it holds by construction.  They are quadratic or worse in
-the number of opens (the searches are exponential) and run only in the
-tests, where they are compared with the monad-based code in
-`topolab.fintop` (the final-topology check of a quotient among it), the
-per-atom certificate, the frame test of fragment-openness and the monad
-adherence in `topolab.star`, the kernels in `topolab._kernels`, the
-orbit sweep in `topolab.reflect`, and the signature image in
+fifteen fast paths stay here too: the atoms of a generator list by a
+depth-first descent that builds every cell with `ds_combine`, the
+star-identity certificate that tests every listed set atom by atom, the
+fragment-openness of a dyad family and the ground-level continuity of a
+definable map, both tested against the ground set of every model open,
+the scan of every code word for topology enumeration, the
+weak-reflection sweep over every labeled target and every open, its
+tables built one subset mask at a time, the scan of every dyad vector,
+adherence tested against every member of an ultrafilter trace, the
+homeomorphism search over every permutation of the points, the final
+topology of a quotient by a scan of every target subset, continuity by
+the preimage of every open, the monad sandwich over every pair of nested
+opens, and the local compactness and supercompactness loops that the
+finite case makes theorems.  The test that the sample space is
+homeomorphic to the standard atoms stays as well, though it holds by
+construction.  They are quadratic or worse in the number of opens (the
+searches are exponential) and run only in the tests, where they are
+compared with the packed split in `topolab.setalg`, the monad-based code
+in `topolab.fintop` (the final-topology check of a quotient among it),
+the per-atom certificate, the frame test of fragment-openness and the
+monad adherence in `topolab.star`, the kernels in `topolab._kernels`,
+the orbit sweep in `topolab.reflect`, and the signature image in
 `topolab.dcomp`.
 """
 import itertools
@@ -34,12 +36,12 @@ from typing import Sequence
 import numpy as np
 
 from topolab import _kernels
-from topolab.errors import NotInAlgebra
+from topolab.errors import NotInAlgebra, SizeCapExceeded
 from topolab.fintop import (
     FinSpace, QuotientMap, enumerate_topologies, is_homeomorphism, property_report,
     t0_reflection, t2_reflection)
 from topolab.reflect import SweepReport
-from topolab.setalg import DefSet, ds_combine
+from topolab.setalg import MAX_ATOMS, DefSet, ds_combine
 from topolab.star import ds_preimage, model_monad, sample_space, star_of
 
 
@@ -165,6 +167,31 @@ def star_identity_pairs(m, sets):
                 out.append(f"intersection breaks at {a.describe()}, {b.describe()}")
             if star_of(m, ds_combine("diff", a, b)) != masks[i] & ~masks[j] & full:
                 out.append(f"difference breaks at {a.describe()}, {b.describe()}")
+    return out
+
+
+def atoms_by_descent(gens, ground):
+    """The atoms of the generators, depth first: each cell is split into
+    its intersection with the next generator and its difference from it,
+    both built as DefSets by `ds_combine`, and empty cells are pruned.
+    Refuses the (MAX_ATOMS + 1)-th atom with the same message as
+    `atoms_of`."""
+    out = []
+
+    def descend(i, cell):
+        if cell.is_empty:
+            return
+        if i == len(gens):
+            if len(out) == MAX_ATOMS:
+                raise SizeCapExceeded(
+                    f"the {len(gens)} generators split the ground into more than "
+                    f"{MAX_ATOMS} atoms, the point cap of a model")
+            out.append(cell)
+            return
+        descend(i + 1, ds_combine("inter", cell, gens[i]))
+        descend(i + 1, ds_combine("diff", cell, gens[i]))
+
+    descend(0, DefSet.full(ground))
     return out
 
 

@@ -188,6 +188,42 @@ def test_exit_two_on_duplicate_samples(tmp_path, capsys):
     assert out.out == "" and out.err == "error: line 3: duplicate sample 1\n"
 
 
+def test_exit_two_on_a_sample_past_the_threshold_cap(tmp_path, capsys):
+    path = tmp_path / "far.top"
+    path.write_text("ground omega\nset A = {1}\nsubbase A\n\nsamples 3 99999999999999999999\n")
+    assert main(["check", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        "error: line 5: threshold 100000000000000000000 of point 99999999999999999999 "
+        "exceeds cap 1048576\n")
+    # the last point under the cap is a sample
+    assert parse_presentation("ground omega\nsubbase\nsamples 1048575\n").samples == (1048575,)
+
+
+def test_exit_two_on_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.top"
+    path.write_bytes(b"ground omega\nset A = {1}\xff\nsubbase A\nsamples\n")
+    assert main(["star", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == (
+        f"error: {path} is not UTF-8: invalid start byte at byte 24\n")
+
+
+@pytest.mark.parametrize("expr", ["(" * 10000 + "{1}" + ")" * 10000, "!" * 10000 + "{1}"],
+                         ids=["parens", "bangs"])
+def test_deep_nesting_exits_two_within_two_seconds(tmp_path, expr):
+    # the parser recurses once per level, so past its cap of 100 levels it
+    # refuses instead of running out of stack; a fresh process each time
+    path = tmp_path / "deep.top"
+    path.write_text(f"ground omega\nset A = {expr}\nsubbase A\nsamples\n")
+    start = time.perf_counter()
+    proc = _fresh("-m", "topolab.cli", "check", str(path))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: line 2, col 109: nested deeper than 100 levels\n"
+    assert elapsed < 2.0
+
+
 def test_exit_two_on_atom_cap(tmp_path, capsys):
     # 16 subbase sets and one sample: one generator past the cap
     path = tmp_path / "wide.top"

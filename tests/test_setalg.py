@@ -8,10 +8,14 @@ normalization is checked against something that shares none of its code.
 import math
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+import topolab.setalg
+from topolab.cli import parse_presentation
 from topolab.errors import (
     GroundMismatch,
     OutOfGround,
@@ -21,6 +25,8 @@ from topolab.errors import (
     UnknownName,
 )
 from topolab.setalg import (
+    MAX_ATOMS,
+    MAX_NESTING,
     OMEGA,
     PERIOD_CAP,
     DefSet,
@@ -443,6 +449,8 @@ def test_basis_caps_and_grounds():
         atoms_of((single, DefSet.from_members(Ground(4), [1])), OMEGA)
     with pytest.raises(GroundMismatch):
         atoms_of((single,), Ground(4))
+    with pytest.raises(GroundMismatch):  # even where the ground has no point to split
+        atoms_of((single,), Ground(0))
 
 
 @given(st.lists(defsets(), min_size=1, max_size=4))
@@ -463,6 +471,120 @@ def test_atom_partition(gens):
             if (a - g).is_empty:
                 below = below | a
         assert below == g
+
+
+def generators_of(p):
+    """The generators `build_star` splits: the subbase, then one singleton
+    per sample."""
+    return p.subbase + tuple(DefSet.from_members(p.ground, (s,)) for s in p.samples)
+
+
+def atoms_or_refusal(split, gens, ground):
+    try:
+        return split(gens, ground)
+    except SizeCapExceeded as exc:
+        return str(exc)
+
+
+PRESENTATIONS = sorted((Path(__file__).parent.parent / "presentations").glob("*.top"))
+
+
+def test_atoms_match_the_descent_on_every_named_model(named_models):
+    # the corpus and every topology on 0..4 points, presented with its full algebra
+    for name, m in named_models:
+        p = m.presentation
+        assert atoms_of(generators_of(p), p.ground) == oracles.atoms_by_descent(
+            generators_of(p), p.ground), name
+
+
+@pytest.mark.parametrize("path", PRESENTATIONS, ids=lambda p: p.name)
+def test_atoms_match_the_descent_on_the_shipped_files(path):
+    p = parse_presentation(path.read_text()).presentation()
+    assert atoms_of(generators_of(p), p.ground) == oracles.atoms_by_descent(
+        generators_of(p), p.ground)
+
+
+# pairwise co-prime prime powers: the lcm of any choice stays under PERIOD_CAP
+COPRIME_PERIODS = (1, 2, 3, 4, 5, 7, 9, 11, 13, 16)
+omega_parts = st.one_of(
+    st.builds(lambda s, p: DefSet.arithmetic(OMEGA, s, p),
+              st.integers(0, 40), st.sampled_from(COPRIME_PERIODS)),
+    st.builds(lambda t: DefSet.tail(OMEGA, t), st.integers(0, 40)),
+    st.builds(lambda ms: DefSet.from_members(OMEGA, ms), st.lists(st.integers(0, 39), max_size=4)),
+)
+omega_generators = st.one_of(
+    omega_parts, omega_parts.map(lambda s: ~s),
+    st.tuples(omega_parts, omega_parts).map(lambda ab: ab[0] | ab[1]))
+
+
+@st.composite
+def finite_generator_lists(draw):
+    n = draw(st.integers(0, 10))
+    g = Ground(n)
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    return [DefSet(g, mask, n) for mask in masks], g
+
+
+@given(st.one_of(st.lists(omega_generators, max_size=6).map(lambda gens: (gens, OMEGA)),
+                 finite_generator_lists()))
+@settings(max_examples=300, deadline=None)
+def test_atoms_match_the_descent(case):
+    gens, ground = case
+    assert atoms_or_refusal(atoms_of, gens, ground) == atoms_or_refusal(
+        oracles.atoms_by_descent, gens, ground)
+
+
+def test_atom_refusals():
+    singles = [DefSet.from_members(OMEGA, [i]) for i in range(16)]
+    assert len(atoms_of(singles[:15], OMEGA)) == MAX_ATOMS
+    with pytest.raises(SizeCapExceeded, match="the 16 generators split the ground into more "
+                                              "than 16 atoms, the point cap of a model"):
+        atoms_of(singles, OMEGA)
+    # lcm(1024, 1023, 1021) = 1,069,550,592; refused before any split, so
+    # before the atom cap when both bind
+    three = [DefSet.arithmetic(OMEGA, 0, p) for p in (1024, 1023, 1021)]
+    for gens in (three, singles[:13] + three):
+        with pytest.raises(PeriodOverflow, match="the generators' common period 1069550592 "
+                                                 "exceeds cap 1048576"):
+            atoms_of(gens, OMEGA)
+
+
+def test_atoms_build_one_set_per_atom_and_combine_none(named_models, monkeypatch):
+    cases = [(generators_of(m.presentation), m.presentation.ground) for _, m in named_models]
+    calls = {"ds_combine": 0, "DefSet": 0}
+    post_init = DefSet.__post_init__
+
+    def counted_post_init(self):
+        calls["DefSet"] += 1
+        post_init(self)
+
+    def counted_combine(*args):
+        calls["ds_combine"] += 1
+        return ds_combine(*args)
+
+    monkeypatch.setattr(topolab.setalg, "ds_combine", counted_combine)
+    monkeypatch.setattr(DefSet, "__post_init__", counted_post_init)
+    for gens, ground in cases:
+        calls["DefSet"] = 0
+        atoms = atoms_of(gens, ground)
+        assert calls["DefSet"] <= len(atoms) + 1
+    assert calls["ds_combine"] == 0
+
+
+def test_sixteen_generators_at_the_period_cap_within_two_seconds():
+    # period lcm(1024, 1023) = 1,047,552 for every word: 16 generators
+    # with 16 atoms, and 16 that split the ground into 18 and are refused
+    a, b = A_1024, B_1023
+    singles = [DefSet.from_members(OMEGA, [i]) for i in range(1, 14)]
+    gens = [a, b, a | b, a & b] + singles[:12]
+    start = time.perf_counter()
+    atoms = atoms_of(gens, OMEGA)
+    with pytest.raises(SizeCapExceeded):
+        atoms_of([a, b] + singles + [DefSet.from_members(OMEGA, [20])], OMEGA)
+    assert time.perf_counter() - start < 2.0
+    assert len(gens) == 16 and len(atoms) == 16
+    assert {x.period for x in atoms} == {CAP_EDGE_PERIOD, 1}
+    assert atoms == oracles.atoms_by_descent(gens, OMEGA)
 
 
 # -- expression parser -----------------------------------------------------
@@ -519,6 +641,18 @@ def test_literal_errors_keep_their_text_and_column(text, message, col):
     with pytest.raises(ParseError) as e:
         parse_set_expr(text, OMEGA)
     assert (e.value.base_message, e.value.col) == (message, col)
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("!", ""), ("!(", ")")])
+def test_nesting_past_its_cap_is_a_parse_error(opener, closer):
+    depth = MAX_NESTING // len(opener)
+    deepest = opener * depth + "{1}" + closer * depth
+    assert parse_set_expr(" | ".join([deepest] * 3), OMEGA) == parse_set_expr(deepest, OMEGA)
+    with pytest.raises(ParseError) as e:
+        parse_set_expr(opener * (depth + 1) + "{1}" + closer * (depth + 1), OMEGA)
+    # the column of the first `(` or `!` past the cap
+    assert (e.value.base_message, e.value.col) == (
+        f"nested deeper than {MAX_NESTING} levels", MAX_NESTING + 1)
 
 
 def test_literals_with_spaces_and_empty_literals():
