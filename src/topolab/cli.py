@@ -23,6 +23,7 @@ from .errors import (
     NoRetraction,
     ParseError,
     PeriodOverflow,
+    SampleNotInGround,
     SizeCapExceeded,
     TopolabError,
     UnknownName,
@@ -213,6 +214,9 @@ def parse_presentation(text: str) -> PresentationFile:
             if not all(v.isdigit() for v in vals):
                 raise ParseError("samples must be natural numbers", line=lineno)
             samples = tuple(int(v) for v in vals)
+            # each value's column, for the ground check after the last line
+            tokens = re.finditer(r"\S+", raw.split("#", 1)[0])
+            samples_at = lineno, [t.start() + 1 for t in tokens][1:]
             seen: set[int] = set()
             for s in samples:
                 if s in seen:
@@ -239,6 +243,10 @@ def parse_presentation(text: str) -> PresentationFile:
         raise ParseError("missing subbase line (use a bare 'subbase' for none)")
     if samples is None:
         raise ParseError("missing samples line (use a bare 'samples' for none)")
+    lineno, cols = samples_at
+    for s, col in zip(samples, cols):
+        if s not in ground:
+            raise SampleNotInGround(f"line {lineno}, col {col}: sample {s} outside {ground!r}")
     return PresentationFile(ground, tuple(sets), subbase, samples, tuple(maps))
 
 
@@ -409,8 +417,8 @@ def cmd_reflect(m: StarModel, args: argparse.Namespace, report: Report) -> None:
     if kind == "t0":
         report.check("target-t0", rep.t0, witness=str(rep.witness("t0")))
     else:
-        report.check("target-discrete", len(q.target.opens) == 1 << q.target.n,
-                     witness=f"opens={len(q.target.opens)}")
+        report.check("target-discrete", q.target.is_discrete,
+                     witness=f"monads={q.target.monads}")
     again = t0_reflection(q.target) if kind == "t0" else t2_reflection(q.target)
     report.check("idempotent", again.is_identity)
     report.summary.update(atoms=m.space.n, classes=q.target.n, assign=list(q.assign))
@@ -418,7 +426,7 @@ def cmd_reflect(m: StarModel, args: argparse.Namespace, report: Report) -> None:
 
 def cmd_beta(m: StarModel, args: argparse.Namespace, report: Report) -> None:
     q = t2_reflection(m.space)
-    report.check("target-discrete", len(q.target.opens) == 1 << q.target.n)
+    report.check("target-discrete", q.target.is_discrete)
     report.check("idempotent", t2_reflection(q.target).is_identity)
     std_classes = {q.assign[i] for i in m.embedding}
     report.add("samples-embedded", INFO,
@@ -486,7 +494,7 @@ def cmd_enumerate(n: int, report: Report) -> None:
                 witness_equiv = witness_equiv or repr(s.opens)
             if (rep.t2 and not rep.t1) or (rep.t1 and not rep.t0):
                 witness_mono = witness_mono or repr(s.opens)
-            if rep.t2 != (len(s.opens) == 1 << s.n):
+            if rep.t2 != s.is_discrete:
                 witness_t2 = witness_t2 or repr(s.opens)
     report.check("regular-eq-completely-regular-eq-clopen", not witness_equiv,
                  witness=witness_equiv)

@@ -1,11 +1,12 @@
 """Finite topological spaces over points 0..n-1.
 
-A subset of points is an int bitmask; a space is the sorted tuple of its
-open masks together with the monad of each point.  Everything downstream
-(star models, reflections, dyad powers) manipulates these spaces.  The
+A subset of points is an int bitmask; a space is the monad of each
+point, its least open neighbourhood.  Everything downstream (star
+models, reflections, dyad powers) manipulates these spaces.  The
 checkers reduce each quantifier over opens to a test on monads, and every
 false flag carries the witness the definition would find first; the
-definitional forms are kept in the tests as oracles.
+definitional forms, and a builder from a family of opens, are kept in
+the tests as oracles.
 
 The T0 reflection collapses points with equal minimal neighbourhoods;
 the T2 reflection collapses specialization-connected components, which
@@ -25,7 +26,6 @@ from ._record import Record, _set
 from .errors import SizeCapExceeded
 
 MAX_POINTS = 64
-MAX_FAMILY = 1 << 16
 MAX_ISO_POINTS = 10
 MAX_ENUM_POINTS = 4
 
@@ -36,81 +36,64 @@ PROPERTY_FLAGS = (
 
 
 class FinSpace(Record):
-    """Finite space: point count and the sorted family of open bitmasks.
+    """Finite space: point count and the monad of each point.
 
     A finite topology is determined by its monads, the minimal open
     neighbourhoods of the points: the opens are exactly the unions of
-    monads (Alexandroff 1937).  Construction keeps the monads, so every
-    query below reads them instead of scanning the opens.  Give either the
-    opens, `FinSpace(n, opens)`, or the monads, `FinSpace(n, (), monads)`;
-    the library builds every derived space the second way.
+    monads (Alexandroff 1937).  So the space is `FinSpace(n, monads)`, two
+    spaces are equal exactly when their topologies are, and every query
+    reads the monads.  `opens` lists the unions on each access, up to 2^n
+    of them, so the library reads it only to print a count or a witness.
     """
 
-    __slots__ = ("n", "opens", "_members", "_monads")
+    __slots__ = ("n", "monads")
 
-    def __init__(self, n: int, opens: tuple[int, ...], monads: Sequence[int] | None = None):
+    def __init__(self, n: int, monads: Sequence[int]):
         _set(self, "n", n)
-        _set(self, "opens", opens)
-        self.__post_init__(monads)
+        _set(self, "monads", tuple(monads))
+        self.__post_init__()
 
-    def __post_init__(self, monads):
+    def __post_init__(self):
         if not 0 <= self.n <= MAX_POINTS:
             raise SizeCapExceeded(f"point count {self.n} outside [0, {MAX_POINTS}]")
-        full = self.full
-        if monads is not None:
-            if self.opens:
-                raise ValueError("give the opens or the monads, not both")
-            monads = tuple(monads)
-            if len(monads) != self.n:
-                raise ValueError(f"{len(monads)} monads for {self.n} points")
-            # the monads of a topology are those of its specialization
-            # preorder: x in m(x), and y in m(x) puts m(y) inside m(x).  Given
-            # such sets, their unions are a topology whose monad at x is m(x).
-            for x, mx in enumerate(monads):
-                if mx < 0 or mx > full or not (mx >> x) & 1:
-                    raise ValueError(f"monad {mx} of point {x} does not hold it")
-                if any((mx >> y) & 1 and my & ~mx for y, my in enumerate(monads)):
-                    raise ValueError(f"monads not from a preorder at point {x}")
-            members = _unions(monads)
-            fam = tuple(sorted(members))
-        else:
-            fam = tuple(sorted(set(self.opens)))
-            if len(fam) > MAX_FAMILY:
-                raise SizeCapExceeded(f"{len(fam)} opens exceed the family cap {MAX_FAMILY}")
-            if fam and (fam[0] < 0 or fam[-1] > full):
-                raise ValueError("open mask outside the point range")
-            if not fam or fam[0] != 0 or fam[-1] != full:
-                raise ValueError("opens must contain the empty and the full set")
-            monads = _monads_of(self.n, fam)
-            members = set(fam)
-            # With every monad open and o | monad(x) open for each open o, every
-            # union of monads is open; each open is the union of the monads of
-            # its points; and the unions of monads are closed under intersection,
-            # because y in monad(x) puts monad(y) inside monad(x).  So the family
-            # is a topology exactly when these O(|opens| * n) tests pass.
-            for x, mx in enumerate(monads):
-                if mx not in members:
-                    raise ValueError(f"opens not closed under union/intersection: the "
-                                     f"monad {mx} of point {x} is not open")
-                for o in fam:
-                    if (o | mx) not in members:
-                        raise ValueError(f"opens not closed under union/intersection at {o}, {mx}")
-        _set(self, "opens", fam)
-        _set(self, "_members", members)
-        _set(self, "_monads", monads)
+        monads, full = self.monads, self.full
+        if len(monads) != self.n:
+            raise ValueError(f"{len(monads)} monads for {self.n} points")
+        # the monads of a topology are those of its specialization preorder:
+        # x in m(x), and y in m(x) puts m(y) inside m(x), so m(y) is the meet
+        # of the monads that hold y.  Given such sets, their unions are a
+        # topology whose monad at x is m(x).
+        for x, mx in enumerate(monads):
+            if mx < 0 or mx > full or not (mx >> x) & 1:
+                raise ValueError(f"monad {mx} of point {x} does not hold it")
+        for y, (my, meet) in enumerate(zip(monads, _monads_of(self.n, monads))):
+            if my != meet:
+                raise ValueError(f"monads not from a preorder at point {y}")
 
     @property
     def full(self) -> int:
         return (1 << self.n) - 1
 
+    @property
+    def opens(self) -> tuple[int, ...]:
+        """Every open, ascending: every union of the monads."""
+        out = {0}
+        for mx in set(self.monads):
+            out |= {o | mx for o in out}
+        return tuple(sorted(out))
+
+    @property
+    def is_discrete(self) -> bool:
+        """Every monad a singleton, so every set open."""
+        return all(mx == 1 << x for x, mx in enumerate(self.monads))
+
     def is_open(self, mask: int) -> bool:
-        return mask in self._members
+        """Whether the mask holds the monad of each of its points."""
+        return 0 <= mask <= self.full and not any(
+            (mask >> x) & 1 and mx & ~mask for x, mx in enumerate(self.monads))
 
     def is_closed(self, mask: int) -> bool:
-        return (self.full ^ mask) in self._members
-
-    def __repr__(self) -> str:
-        return f"FinSpace(n={self.n}, opens={len(self.opens)})"
+        return self.is_open(self.full ^ mask)
 
 
 def _monads_of(n: int, sets: Sequence[int]) -> tuple[int, ...]:
@@ -127,35 +110,24 @@ def _monads_of(n: int, sets: Sequence[int]) -> tuple[int, ...]:
     return tuple(monads)
 
 
-def _unions(masks: Sequence[int]) -> set[int]:
-    """Every union of the given masks, the empty union included."""
-    out = {0}
-    for m in set(masks):
-        out |= {o | m for o in out}
-        if len(out) > MAX_FAMILY:
-            raise SizeCapExceeded(f"open family exceeds {MAX_FAMILY} sets")
-    return out
-
-
 def generate_topology(n: int, subbase: Sequence[int]) -> FinSpace:
     """Smallest topology containing the subbase.
 
     The monad of x in that topology is the intersection of the subbase
-    sets containing x, and the opens are the unions of monads: O(n * |opens|).
+    sets containing x: O(n * |subbase| + n²) with the check of the monads.
     """
     if not 0 <= n <= MAX_POINTS:
         raise SizeCapExceeded(f"point count {n} outside [0, {MAX_POINTS}]")
-    full = (1 << n) - 1
     for s in subbase:
-        if s < 0 or s > full:
+        if s < 0 or s >> n:
             raise ValueError(f"subbase mask {s} does not fit width {n}")
-    return FinSpace(n, (), _monads_of(n, subbase))
+    return FinSpace(n, _monads_of(n, subbase))
 
 
 def closure(s: FinSpace, a: int) -> int:
     """Points whose monad meets a."""
     out = 0
-    for x, m in enumerate(s._monads):
+    for x, m in enumerate(s.monads):
         if m & a:
             out |= 1 << x
     return out
@@ -165,7 +137,7 @@ def monad(s: FinSpace, x: int) -> int:
     """Intersection of all opens containing x: the minimal open neighbourhood."""
     if not 0 <= x < s.n:
         raise ValueError(f"point {x} outside the space")
-    return s._monads[x]
+    return s.monads[x]
 
 
 class PropertyReport(Record):
@@ -196,11 +168,17 @@ def property_report(s: FinSpace) -> PropertyReport:
     complete regularity and normality quantify over opens; each is decided
     on monads, and on failure reduced to a test on the least open (or
     clopen) around a point or set, which finds the same first
-    counterexample as the definition."""
-    n, full = s.n, s.full
-    monads = [monad(s, x) for x in range(n)]
+    counterexample as the definition.
+
+    An open holds the monad of each of its points, and a superset is at
+    least its subset as a number.  So the least open around x is monads[x],
+    and the least open that is not closed is the least monad that is not
+    closed: an open all of whose monads are closed is a finite union of
+    closed sets."""
+    n, full, monads = s.n, s.full, s.monads
     point_cl = [closure(s, 1 << x) for x in range(n)]
-    closed = [full ^ o for o in s.opens]
+    monad_cl = [closure(s, mx) for mx in monads]
+    not_closed = min((mx for mx, cl in zip(monads, monad_cl) if cl != mx), default=None)
     wit: list[tuple[str, tuple[int, ...]]] = []
 
     def record(flag: str, payload: tuple[int, ...]) -> bool:
@@ -230,14 +208,11 @@ def property_report(s: FinSpace) -> PropertyReport:
 
     def check_regular() -> bool:
         # an open u around x with cl(u) inside v exists iff cl(monad x) is
-        # inside v, and monad x lies inside every open around x
+        # inside v, and monad x lies inside every open around x; when it
+        # fails, the least open v around x, monad x itself, fails too
         for x in range(n):
-            cl_monad = closure(s, monads[x])
-            if not cl_monad & ~monads[x]:
-                continue
-            for v in s.opens:
-                if (v >> x) & 1 and cl_monad & ~v:
-                    return record("regular", (x, v))
+            if monad_cl[x] != monads[x]:
+                return record("regular", (x, monads[x]))
         return True
 
     def clopen_hull(x: int) -> int:
@@ -254,15 +229,15 @@ def property_report(s: FinSpace) -> PropertyReport:
         # function separation collapses to clopen separation on finite spaces:
         # x outside f is separated from f iff the smallest clopen around x
         # misses f.  Those clopens partition the points, so a closed f fails
-        # exactly when it is not open.
-        hulls = [clopen_hull(x) for x in range(n)]
-        for f in closed:
-            if s.is_open(f):
-                continue
-            for x in range(n):
-                if not (f >> x) & 1 and hulls[x] & f:
-                    return record("completely_regular", (x, f))
-        return True
+        # exactly when it is not open, and then some hull meets f without
+        # lying inside it.  The closed sets are scanned in the order of their
+        # open complements, so the first to fail is the complement of the
+        # least open that is not closed.
+        if not_closed is None:
+            return True
+        f = full ^ not_closed
+        x = next(x for x in range(n) if not (f >> x) & 1 and clopen_hull(x) & f)
+        return record("completely_regular", (x, f))
 
     def check_normal() -> bool:
         # Disjoint closed f, h are separated iff cl(smallest open around f)
@@ -275,6 +250,7 @@ def property_report(s: FinSpace) -> PropertyReport:
         if not any(monads[x] & monads[y] and not point_cl[x] & point_cl[y]
                    for x in range(n) for y in range(x + 1, n)):
             return True
+        closed = [full ^ o for o in s.opens]
         for f in closed:
             around = 0
             for x in range(n):
@@ -288,12 +264,6 @@ def property_report(s: FinSpace) -> PropertyReport:
                     return record("normal", (f, h))
         return True
 
-    def check_all_opens_closed() -> bool:
-        for o in s.opens:
-            if not s.is_closed(o):
-                return record("all_opens_closed", (o,))
-        return True
-
     return PropertyReport(
         t0=check_t0(),
         t1=check_t1(),
@@ -301,7 +271,7 @@ def property_report(s: FinSpace) -> PropertyReport:
         regular=check_regular(),
         completely_regular=check_completely_regular(),
         normal=check_normal(),
-        all_opens_closed=check_all_opens_closed(),
+        all_opens_closed=not_closed is None or record("all_opens_closed", (not_closed,)),
         # theorems for finite spaces: every open cover is its own finite
         # subcover; monad(x) is a finite, so compact, open neighbourhood of x
         # inside every open around x; and cl{x} = cl{y} puts y in monad(x)
@@ -323,19 +293,15 @@ def is_homeomorphism(a: FinSpace, b: FinSpace, image: Sequence[int]) -> bool:
 def iso_check(a: FinSpace, b: FinSpace) -> tuple[int, ...] | None:
     """Search for a homeomorphism, returned as the image tuple of 0..n-1.
 
-    Compares the invariants first: point count, open count, open sizes and
-    the (monad size, closure size) key of each point.  A homeomorphism
-    keeps every key, so when the keys are pairwise distinct the only
-    candidate is the map that matches them, verified on monads in O(n²).
-    Otherwise it backtracks over key-compatible assignments that respect
-    the partial specialization order, and refuses past MAX_ISO_POINTS.
+    Compares the invariants first: the (monad size, closure size) key of
+    each point, so the point count too.  A homeomorphism keeps every key,
+    so when the keys are pairwise distinct the only candidate is the map
+    that matches them, verified on monads in O(n²).  Otherwise it
+    backtracks over key-compatible assignments that respect the partial
+    specialization order, and refuses past MAX_ISO_POINTS.
     """
-    if a.n != b.n or len(a.opens) != len(b.opens):
-        return None
-    if sorted(o.bit_count() for o in a.opens) != sorted(o.bit_count() for o in b.opens):
-        return None
     # the specialization order: x <= y iff x in cl{y} iff y in monad(x)
-    la, lb = a._monads, b._monads
+    la, lb = a.monads, b.monads
     ca = [closure(a, 1 << x) for x in range(a.n)]
     cb = [closure(b, 1 << x) for x in range(b.n)]
     key_a = [(la[x].bit_count(), ca[x].bit_count()) for x in range(a.n)]
@@ -390,7 +356,7 @@ def enumerate_topologies(n: int) -> Iterator[FinSpace]:
     from . import _kernels  # numpy loads only for the commands that enumerate
     for code in _kernels.topology_codes(n):
         code = int(code)
-        yield FinSpace(n, tuple(s for s in range(1 << n) if (code >> s) & 1))
+        yield FinSpace(n, _monads_of(n, [s for s in range(1 << n) if (code >> s) & 1]))
 
 
 def _classes_by_key(keys: Sequence[int]) -> tuple[list[list[int]], list[int]]:
@@ -436,7 +402,7 @@ class QuotientMap(Record):
             raise ValueError("assign must cover every source point")
         if set(self.assign) != set(range(self.target.n)):
             raise ValueError("assign must be onto the target points")
-        monads = self.source._monads
+        monads = self.source.monads
         final = []
         for c in range(self.target.n):
             held, grown = -1, self.preimage(1 << c)
@@ -447,7 +413,7 @@ class QuotientMap(Record):
                         hull |= m
                 grown = self.preimage(self.image(hull))
             final.append(self.image(held))
-        if tuple(final) != self.target._monads:
+        if tuple(final) != self.target.monads:
             raise ValueError("target does not carry the final topology")
 
     def preimage(self, target_mask: int) -> int:
@@ -472,10 +438,10 @@ class QuotientMap(Record):
 def t0_reflection(s: FinSpace) -> QuotientMap:
     """Quotient by monad equality.  Opens are unions of monads, hence
     saturated, so the monad of a class is the image of its members' monad."""
-    classes, assign = _classes_by_key(s._monads)
-    monads = [sum(1 << c for c in {assign[x] for x in range(s.n) if (s._monads[xs[0]] >> x) & 1})
+    classes, assign = _classes_by_key(s.monads)
+    monads = [sum(1 << c for c in {assign[x] for x in range(s.n) if (s.monads[xs[0]] >> x) & 1})
               for xs in classes]
-    return QuotientMap(s, FinSpace(len(classes), (), monads), tuple(assign))
+    return QuotientMap(s, FinSpace(len(classes), monads), tuple(assign))
 
 
 def t2_reflection(s: FinSpace) -> QuotientMap:
@@ -489,13 +455,13 @@ def t2_reflection(s: FinSpace) -> QuotientMap:
             x = parent[x]
         return x
 
-    for x, mx in enumerate(s._monads):  # y in monad(x) iff x <= y
+    for x, mx in enumerate(s.monads):  # y in monad(x) iff x <= y
         for y in range(s.n):
             if (mx >> y) & 1:
                 parent[find(x)] = find(y)
     classes, assign = _classes_by_key([find(x) for x in range(s.n)])
     k = len(classes)
-    return QuotientMap(s, FinSpace(k, (), [1 << c for c in range(k)]), tuple(assign))
+    return QuotientMap(s, FinSpace(k, [1 << c for c in range(k)]), tuple(assign))
 
 
 def hasse_dot(s: FinSpace, labels: Sequence[str] | None = None) -> str:
@@ -505,10 +471,10 @@ def hasse_dot(s: FinSpace, labels: Sequence[str] | None = None) -> str:
     Nodes are the monad-equality classes in order of first member; an edge
     runs upward for each covering pair.  Output is deterministic.
     """
-    classes, _ = _classes_by_key(s._monads)
+    classes, _ = _classes_by_key(s.monads)
 
     def below(c: int, d: int) -> bool:
-        return c != d and bool((s._monads[classes[c][0]] >> classes[d][0]) & 1)
+        return c != d and bool((s.monads[classes[c][0]] >> classes[d][0]) & 1)
 
     k = len(classes)
     lines = ["digraph hasse {", "  rankdir=BT;"]

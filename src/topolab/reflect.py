@@ -122,16 +122,16 @@ def _sweep_counts(max_n: int, kind: str) -> tuple[
     source_class = np.concatenate(source_class)
     if kind == "t0":
         # T0 iff distinct points have distinct monads
-        t0 = [si for si, s in enumerate(sources) if len(set(s._monads)) == s.n]
+        t0 = [si for si, s in enumerate(sources) if len(set(s.monads)) == s.n]
         targets = [sources[si] for si in t0]
         classes, _ = _classes_by_key(source_class[t0].tolist())
     else:
-        targets = [FinSpace(n, tuple(range(1 << n))) for n in range(max_n + 1)]
+        targets = [FinSpace(n, [1 << x for x in range(n)]) for n in range(max_n + 1)]
         classes, _ = _classes_by_key(range(len(targets)))
     counts = []
     for members in classes:
         t = targets[members[0]]
-        monads = np.array(t._monads, dtype=np.int64)
+        monads = np.array(t.monads, dtype=np.int64)
         cont, fact = (np.concatenate(c) for c in zip(*(
             _kernels.reflection_counts(n_s, *tables, t.n, monads)[1:]
             for n_s, tables in batches)))

@@ -356,9 +356,12 @@ def sandwich_violations(m: StarModel) -> Iterator[tuple[int, int]]:
 
 
 def density_violations(m: StarModel) -> list[int]:
-    """Nonempty model opens with no standard atom; empty when sample-hitting holds."""
+    """The least nonempty model open with no standard atom, in a list of at
+    most one; empty when sample-hitting holds.  Such an open holds the monad
+    of each of its points, which misses the standard atoms too and is at
+    most the open as a number, so the least one is a monad."""
     std = m.standard_mask
-    return [o for o in m.space.opens if o and not o & std]
+    return sorted(mx for mx in m.space.monads if not mx & std)[:1]
 
 
 def sample_space(m: StarModel) -> FinSpace:

@@ -1,12 +1,13 @@
 """Definitional checkers that pin the fast paths of topolab.
 
 Each function transcribes a definition outright: pairwise closure of an
-open family, monads as intersections of opens, the quantifiers of
-regularity, complete regularity and normality over every open and closed
-set, every Boolean identity of the star map over every pair of sets,
-local compactness by a search over subsets and covers, and continuity
-and factoring by a search over every point map.  The slower forms of
-fifteen fast paths stay here too: the atoms of a generator list by a
+open family, a space built from its family of opens, monads as
+intersections of opens, the quantifiers of regularity, complete
+regularity, normality and clopenness over every open and closed set,
+every Boolean identity of the star map over every pair of sets, local
+compactness by a search over subsets and covers, and continuity and
+factoring by a search over every point map.  The slower forms of
+sixteen fast paths stay here too: the atoms of a generator list by a
 depth-first descent that builds every cell with `ds_combine`, the
 star-identity certificate that tests every listed set atom by atom, the
 fragment-openness of a dyad family and the ground-level continuity of a
@@ -18,11 +19,12 @@ adherence tested against every member of an ultrafilter trace, the
 homeomorphism search over every permutation of the points, the final
 topology of a quotient by a scan of every target subset, continuity by
 the preimage of every open, the monad sandwich over every pair of nested
-opens, and the local compactness and supercompactness loops that the
-finite case makes theorems.  The test that the sample space is
-homeomorphic to the standard atoms stays as well, though it holds by
-construction.  They are quadratic or worse in the number of opens (the
-searches are exponential) and run only in the tests, where they are
+opens, the density witness by a scan of every open, and the local
+compactness and supercompactness loops that the finite case makes
+theorems.  The test that the sample space is homeomorphic to the
+standard atoms stays as well, though it holds by construction.  They
+are quadratic or worse in the number of opens (the searches are
+exponential) and run only in the tests, where they are
 compared with the packed split in `topolab.setalg`, the monad-based code
 in `topolab.fintop` (the final-topology check of a quotient among it),
 the per-atom certificate, the frame test of fragment-openness and the
@@ -72,12 +74,45 @@ def generate_by_closure(n, subbase):
     return tuple(sorted(fam))
 
 
+def space_from_opens(n, opens):
+    """The space whose opens are the given family, refused with ValueError
+    unless the family is a topology: O(n * |opens|).
+
+    Each point's monad is the intersection of the opens around it.  With
+    every monad open and o | monad(x) open for each open o, every union of
+    monads is open; each open is the union of the monads of its points; and
+    the unions of monads are closed under intersection, because y in
+    monad(x) puts monad(y) inside monad(x).  So the family is a topology
+    exactly when these tests pass."""
+    full = (1 << n) - 1
+    fam = sorted(set(opens))
+    if fam and (fam[0] < 0 or fam[-1] > full):
+        raise ValueError("open mask outside the point range")
+    if not fam or fam[0] != 0 or fam[-1] != full:
+        raise ValueError("opens must contain the empty and the full set")
+    members = set(fam)
+    monads = [full] * n
+    for o in fam:
+        for x in range(n):
+            if (o >> x) & 1:
+                monads[x] &= o
+    for x, mx in enumerate(monads):
+        if mx not in members:
+            raise ValueError(f"opens not closed under union/intersection: the "
+                             f"monad {mx} of point {x} is not open")
+        for o in fam:
+            if (o | mx) not in members:
+                raise ValueError(f"opens not closed under union/intersection at {o}, {mx}")
+    return FinSpace(n, monads)
+
+
 def monads_by_opens(s):
     """The intersection of the opens around each point."""
     out = []
+    opens = s.opens
     for x in range(s.n):
         m = s.full
-        for o in s.opens:
+        for o in opens:
             if (o >> x) & 1:
                 m &= o
         out.append(m)
@@ -101,27 +136,28 @@ def subspace(s: FinSpace, mask: int) -> tuple[FinSpace, list[int]]:
     """Subspace on the points of mask, with the point renumbering.  The
     monad of x there is its monad in s cut down to mask."""
     pts = [x for x in range(s.n) if (mask >> x) & 1]
-    monads = [sum(1 << i for i, y in enumerate(pts) if (s._monads[x] >> y) & 1) for x in pts]
-    return FinSpace(len(pts), (), monads), pts
+    monads = [sum(1 << i for i, y in enumerate(pts) if (s.monads[x] >> y) & 1) for x in pts]
+    return FinSpace(len(pts), monads), pts
 
 
 def regular_witness(s):
     """First (x, V): V open around x, and no open U around x has cl(U) in V."""
-    cl = {u: closure_by_opens(s.n, s.opens, u) for u in s.opens}
+    opens = s.opens
+    cl = {u: closure_by_opens(s.n, opens, u) for u in opens}
     for x in range(s.n):
-        for v in s.opens:
+        for v in opens:
             if not (v >> x) & 1:
                 continue
-            if not any((u >> x) & 1 and cl[u] & ~v == 0 for u in s.opens):
+            if not any((u >> x) & 1 and cl[u] & ~v == 0 for u in opens):
                 return (x, v)
     return None
 
 
 def completely_regular_witness(s):
     """First (x, F): F closed, x outside F, and no clopen around x misses F."""
-    full = s.full
-    clopens = [o for o in s.opens if (full ^ o) in s.opens]
-    for f in (full ^ o for o in s.opens):
+    full, opens = s.full, s.opens
+    clopens = [o for o in opens if (full ^ o) in opens]
+    for f in (full ^ o for o in opens):
         for x in range(s.n):
             if (f >> x) & 1:
                 continue
@@ -130,17 +166,32 @@ def completely_regular_witness(s):
     return None
 
 
+def all_opens_closed_witness(s):
+    """First (O,): O open and not closed, scanning the opens in order."""
+    opens = s.opens
+    for o in opens:
+        if (s.full ^ o) not in opens:
+            return (o,)
+    return None
+
+
+def density_by_opens(m):
+    """The nonempty opens of a model with no standard atom, as the scan of
+    every open finds them."""
+    return [o for o in m.space.opens if o and not o & m.standard_mask]
+
+
 def normal_witness(s):
     """First (F, H): disjoint closed sets with no open G around F whose
     closure misses H."""
-    full = s.full
-    closed = [full ^ o for o in s.opens]
-    cl = {g: closure_by_opens(s.n, s.opens, g) for g in s.opens}
+    full, opens = s.full, s.opens
+    closed = [full ^ o for o in opens]
+    cl = {g: closure_by_opens(s.n, opens, g) for g in opens}
     for f in closed:
         for h in closed:
             if f & h:
                 continue
-            if not any(f & ~g == 0 and h & cl[g] == 0 for g in s.opens):
+            if not any(f & ~g == 0 and h & cl[g] == 0 for g in opens):
                 return (f, h)
     return None
 
@@ -288,13 +339,14 @@ def locally_compact_literal(s: FinSpace) -> bool:
     subspace on W compact under the literal cover search.  Exponential in
     the subspace open count; only useful on small spaces, where it checks
     the reduced form used by property_report."""
+    opens = s.opens
     for x in range(s.n):
-        for v in s.opens:
+        for v in opens:
             if not (v >> x) & 1:
                 continue
             found = False
             for w in range(1 << s.n):
-                if w & ~v or not (interior_by_opens(s.opens, w) >> x) & 1:
+                if w & ~v or not (interior_by_opens(opens, w) >> x) & 1:
                     continue
                 if _covers_have_subcover(subspace(s, w)[0]):
                     found = True
@@ -308,9 +360,9 @@ def locally_compact_witness(s: FinSpace):
     """First (x, V): V open around x that does not hold the monad of x, so
     the monad is not a compact neighbourhood of x inside V.  The reduced
     form of local compactness that `locally_compact_literal` checks."""
-    monads = monads_by_opens(s)
+    monads, opens = monads_by_opens(s), s.opens
     for x in range(s.n):
-        for v in s.opens:
+        for v in opens:
             if (v >> x) & 1 and monads[x] & ~v:
                 return (x, v)
     return None
@@ -320,8 +372,8 @@ def supercompact_witness(s: FinSpace):
     """First (y, x0, x): the principal ultrafilter at y has adherence cl{y},
     and the points x with that closure must share one monad with the first
     of them, x0 ("essentially unique")."""
-    monads = monads_by_opens(s)
-    point_cl = [closure_by_opens(s.n, s.opens, 1 << x) for x in range(s.n)]
+    monads, opens = monads_by_opens(s), s.opens
+    point_cl = [closure_by_opens(s.n, opens, 1 << x) for x in range(s.n)]
     for y in range(s.n):
         cands = [x for x in range(s.n) if point_cl[x] == point_cl[y]]
         for x in cands:
@@ -332,7 +384,8 @@ def supercompact_witness(s: FinSpace):
 
 def continuous_by_opens(a: FinSpace, b: FinSpace, point_map: Sequence[int]) -> bool:
     """Whether the preimage of every open of b under the point map is open in a."""
-    return all(a.is_open(sum(1 << x for x, y in enumerate(point_map) if (o >> y) & 1))
+    opens = set(a.opens)
+    return all(sum(1 << x for x, y in enumerate(point_map) if (o >> y) & 1) in opens
                for o in b.opens)
 
 
@@ -353,13 +406,14 @@ def sandwich_by_opens(m):
     out = []
     samples = m.presentation.samples
     monads = {i: model_monad(m, i) for i in m.embedding}
-    for g in m.space.opens:
+    opens = m.space.opens
+    for g in opens:
         spread = 0
         gset = m.union_of(g)
         for pos, x in enumerate(samples):
             if x in gset:
                 spread |= monads[m.embedding[pos]]
-        for v in m.space.opens:
+        for v in opens:
             if g & ~v:
                 continue
             if g & ~spread or spread & ~v:
@@ -388,9 +442,10 @@ def relabelings(s: FinSpace) -> dict[frozenset[int], tuple[int, ...]]:
     open family that some permutation carries the opens of s onto, with the
     first such permutation in lexicographic order."""
     out = {}
+    opens = s.opens
     for perm in itertools.permutations(range(s.n)):
         mapped = frozenset(sum(1 << perm[x] for x in range(s.n) if (o >> x) & 1)
-                           for o in s.opens)
+                           for o in opens)
         out.setdefault(mapped, perm)
     return out
 
@@ -400,16 +455,17 @@ def final_topology_by_scan(source: FinSpace, assign: Sequence[int]) -> set[int]:
     subset of the k target points whose preimage is open in the source,
     testing all 2**k subsets."""
     k = max(assign, default=-1) + 1
+    opens = set(source.opens)
     return {u for u in range(1 << k)
-            if source.is_open(sum(1 << x for x, c in enumerate(assign) if (u >> c) & 1))}
+            if sum(1 << x for x, c in enumerate(assign) if (u >> c) & 1) in opens}
 
 
 def continuous_point_maps(a: FinSpace, b: FinSpace) -> list[tuple[int, ...]]:
     """All continuous maps a → b, by exhaustive search."""
     out = []
+    src, tgt = set(a.opens), b.opens
     for f in itertools.product(range(b.n), repeat=a.n):
-        if all(a.is_open(sum(1 << x for x in range(a.n) if (o >> f[x]) & 1))
-               for o in b.opens):
+        if all(sum(1 << x for x in range(a.n) if (o >> f[x]) & 1) in src for o in tgt):
             out.append(f)
     return out
 
@@ -419,12 +475,12 @@ def factorizations_through(q: QuotientMap, f: Sequence[int],
     """All continuous F: q.target → target with F ∘ q.assign = f, found by
     trying every point map outright."""
     out = []
+    src, tgt = set(q.target.opens), target.opens
     for big in itertools.product(range(target.n), repeat=q.target.n):
         if any(big[q.assign[x]] != f[x] for x in range(q.source.n)):
             continue
-        if all(q.target.is_open(sum(1 << c for c in range(q.target.n)
-                                    if (o >> big[c]) & 1))
-               for o in target.opens):
+        if all(sum(1 << c for c in range(q.target.n) if (o >> big[c]) & 1) in src
+               for o in tgt):
             out.append(big)
     return out
 
@@ -509,7 +565,7 @@ def labeled_sweep(max_n, kind):
         targets = [s for s in sources if property_report(s).t0]
         reflection = t0_reflection
     else:
-        targets = [FinSpace(n, tuple(range(1 << n))) for n in range(max_n + 1)]
+        targets = [space_from_opens(n, range(1 << n)) for n in range(max_n + 1)]
         reflection = t2_reflection
     batches = []
     first = 0
@@ -566,8 +622,9 @@ def adherence_by_trace(m, atom):
     """Samples whose every fragment-open neighbourhood meets every member of
     the atom's ultrafilter trace, tested member by member."""
     trace = ultrafilter_trace(m, atom)
+    opens = m.space.opens
     out = []
     for s, a in zip(m.presentation.samples, m.embedding):
-        if all(g & member for g in m.space.opens if (g >> a) & 1 for member in trace):
+        if all(g & member for g in opens if (g >> a) & 1 for member in trace):
             out.append(s)
     return frozenset(out)

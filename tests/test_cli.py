@@ -19,6 +19,7 @@ from topolab.errors import (
     OutOfGround,
     ParseError,
     PeriodOverflow,
+    SampleNotInGround,
     SizeCapExceeded,
     UnknownName,
 )
@@ -47,7 +48,7 @@ def test_parse_and_build_from_file():
 def test_parse_finite_ground_presentation():
     pf = parse_presentation(SIERP_TEXT)
     m = build_star(pf.presentation())
-    assert iso_check(m.space, FinSpace(2, (0, 1, 3))) is not None
+    assert iso_check(m.space, FinSpace(2, (0b01, 0b11))) is not None
 
 
 def test_parse_maps_both_grounds():
@@ -198,6 +199,22 @@ def test_exit_two_on_a_sample_past_the_threshold_cap(tmp_path, capsys):
         "exceeds cap 1048576\n")
     # the last point under the cap is a sample
     assert parse_presentation("ground omega\nsubbase\nsamples 1048575\n").samples == (1048575,)
+
+
+def test_exit_two_on_a_sample_outside_a_finite_ground(tmp_path, capsys):
+    # checked once the ground is known, wherever the samples line stands
+    path = tmp_path / "outside.top"
+    for text in ("ground finite 4\nset A = {1}\nsubbase A\n  samples 0  5 4 # c\n",
+                 "  samples 0  5 4 # c\nground finite 4\nset A = {1}\nsubbase A\n"):
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        out = capsys.readouterr()
+        line = 4 if text.startswith("ground") else 1
+        assert out.out == "" and out.err == (
+            f"error: line {line}, col 14: sample 5 outside finite(4)\n")
+    with pytest.raises(SampleNotInGround):
+        parse_presentation("ground finite 0\nsubbase\nsamples 0\n")
+    assert parse_presentation("ground finite 4\nsubbase\nsamples 3\n").samples == (3,)
 
 
 def test_exit_two_on_a_file_that_is_not_utf8(tmp_path, capsys):
@@ -381,7 +398,7 @@ def test_dot_side_flag(tmp_path, capsys):
     assert out.exists() and "dot-written" in capsys.readouterr().out
 
 
-# -- wall-clock guards at the family cap -----------------------------------
+# -- wall-clock guards on wide models -------------------------------------
 
 def _singletons_file(size, points, extra=None, samples=()):
     lines = [f"ground finite {size}"]
@@ -433,17 +450,17 @@ WIDE_OMEGA = "".join(["ground omega\n", *(f"set P{i} = {{{100 + i}}}\n" for i in
                       "samples\n"])
 
 
-@pytest.mark.parametrize("command,code,err", [
-    ("check", 0, ""), ("dcomp", 2, "open family exceeds 65536 sets")])
-def test_certificates_on_a_wide_period_within_two_seconds(tmp_path, command, code, err):
+@pytest.mark.parametrize("command,code,out", [("check", 0, ""), ("dcomp", 0, "closure=31")])
+def test_certificates_on_a_wide_period_within_two_seconds(tmp_path, command, code, out):
     # the star identities and the family's openness go through the frame,
-    # never through one definable set per open; each run is a fresh process
+    # never through one definable set per open, and the dyad spaces are
+    # their monads; each run is a fresh process
     path = tmp_path / "wide.top"
     path.write_text(WIDE_OMEGA)
     start = time.perf_counter()
     proc = _fresh("-m", "topolab.cli", command, str(path))
     elapsed = time.perf_counter() - start
-    assert proc.returncode == code and err in proc.stderr, proc.stderr
+    assert proc.returncode == code and proc.stderr == "" and out in proc.stdout, proc.stderr
     assert elapsed < 2.0
 
 
@@ -528,8 +545,8 @@ def test_check_on_a_near_discrete_model_within_two_seconds(tmp_path, capsys):
 
 
 def test_check_on_the_discrete_sixteen_point_model_within_two_seconds(tmp_path, capsys):
-    # 16 singleton opens and no samples: 65,536 opens, while the
-    # certificate tests only the 16 atoms
+    # 16 singleton opens and no samples: 65,536 opens, listed only for the
+    # summary's count, while the certificate tests only the 16 atoms
     path = tmp_path / "discrete.top"
     path.write_text(_singletons_file(16, range(16)))
     rc, elapsed = _timed_main(["check", str(path), "--format", "structured"])
@@ -537,6 +554,34 @@ def test_check_on_the_discrete_sixteen_point_model_within_two_seconds(tmp_path, 
     assert rc == 0 and doc["summary"]["opens"] == 65536 and doc["summary"]["atoms"] == 16
     status = {item["name"]: item["status"] for item in doc["items"]}
     assert status["star-identities"] == "pass"
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("argv,code,summary", [
+    (["star"], 0, {"atoms": 16, "opens": 65536}), (["check"], 0, {"atoms": 16, "opens": 65536}),
+    (["reflect", "--kind", "t0"], 0, {"classes": 16}),
+    (["reflect", "--kind", "t2"], 0, {"classes": 16}), (["beta"], 0, {"classes": 16}),
+    (["beta2"], 0, {"classes": 16}),
+    (["retract"], 1, {"atoms": 16, "opens": 65536}),  # no sample, so no retraction
+    (["dcomp"], 0, {"family": 16, "image": 16, "closure": 17})])
+def test_commands_on_the_discrete_sixteen_point_model_in_fresh_processes(tmp_path, argv, code,
+                                                                         summary):
+    # the file above: every command answers, dcomp included, whose image
+    # has 2^16 opens and whose closure has 17 points
+    path = tmp_path / "discrete.top"
+    path.write_text(_singletons_file(16, range(16)))
+    start = time.perf_counter()
+    proc = _fresh("-m", "topolab.cli", argv[0], str(path), *argv[1:], "--format", "structured")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == code and proc.stderr == "", proc.stderr
+    doc = json.loads(proc.stdout)
+    assert summary.items() <= doc["summary"].items()
+    status = {item["name"]: (item["status"], item["detail"]) for item in doc["items"]}
+    failed = [name for name, (state, _) in status.items() if state == "fail"]
+    assert failed == (["retraction-exists"] if code else [])
+    if argv[0] == "dcomp":
+        assert (status["beta2-embeds-in-image"] == status["beta2-homeomorphic-to-image"]
+                == ("info", "yes"))
     assert elapsed < 2.0
 
 
@@ -560,8 +605,8 @@ def test_check_refuses_at_the_label_cap_before_any_work(tmp_path, capsys):
 def test_dcomp_on_the_widest_admitted_closure_within_two_seconds(tmp_path, capsys):
     # points 1, 2 and 3 take these value vectors under 12 maps, and the rest
     # of omega lies outside every map: the closure has 36 points and 60,140
-    # opens, the widest a search of admitted families found; the wider ones
-    # it found all passed the 2^16-open family cap before the 64-point cap
+    # opens, the widest a search of families found under a former 2^16-open
+    # cap; with no cap on the opens, only the 64-point cap bounds a closure
     vectors = (2951, 3455, 3951)
     lines = ["ground omega"]
     for i in range(12):

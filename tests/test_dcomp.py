@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import algebra_sets, dyad_vectors_by_scan, family_continuous_by_opens, subspace
+from oracles import (
+    algebra_sets, dyad_vectors_by_scan, family_continuous_by_opens, space_from_opens, subspace)
 from topolab.cli import parse_presentation
 from topolab.corpus import (
     chain_fragment,
@@ -25,7 +26,7 @@ from topolab.errors import (
     NotInAlgebra,
     SizeCapExceeded,
 )
-from topolab.fintop import MAX_POINTS, FinSpace, closure, generate_topology, iso_check
+from topolab.fintop import MAX_POINTS, closure, generate_topology, iso_check
 from topolab.setalg import OMEGA, DefSet, Ground
 from topolab.star import SpacePresentation, build_star
 
@@ -90,7 +91,7 @@ def test_embed_sierpinski():
     e = _embed(sierpinski_presentation())
     assert e.image_vectors == e.closure_vectors == (0, 1)
     assert e.image == e.closure
-    assert iso_check(e.image, FinSpace(2, (0, 1, 3))) is not None
+    assert iso_check(e.image, space_from_opens(2, (0, 1, 3))) is not None
 
 
 def test_embed_partition2():
@@ -102,7 +103,7 @@ def test_embed_partition2():
 
 def test_embed_empty_family():
     e = _embed(SpacePresentation(OMEGA, (), (0,)))
-    assert e.image_vectors == (0,) and e.image == FinSpace(1, (0, 1))
+    assert e.image_vectors == (0,) and e.image == space_from_opens(1, (0, 1))
     assert e.eval == (0,)
 
 
@@ -140,8 +141,8 @@ def test_image_vectors_inside_closure(corpus_models):
 def test_vectors_match_the_full_scan(corpus_models):
     # signature image, grown closure and sample evaluation against the scan
     # of all 2**k vectors, on every corpus model and every shipped file; a
-    # closure past the point cap is refused, and the scan confirms it is
-    # that wide; one inside it may still have more opens than the family cap
+    # closure past the point cap would be refused, and the scan would confirm
+    # it is that wide; every closure here fits, discrete4's 48 points too
     shipped = []
     for path in sorted(PRES.glob("*.top")):
         p = parse_presentation(path.read_text()).presentation()
@@ -155,14 +156,9 @@ def test_vectors_match_the_full_scan(corpus_models):
                 dcomp_embed(m, fam)
             refused.append(name)
             continue
-        try:
-            e = dcomp_embed(m, fam)
-        except SizeCapExceeded as exc:
-            assert "open family exceeds" in str(exc), name
-            refused.append(name)
-            continue
+        e = dcomp_embed(m, fam)
         assert (e.image_vectors, e.closure_vectors, e.eval) == (image, closure_vectors, ev), name
-    assert refused == ["discrete4"]
+    assert refused == []
 
 
 def test_eval_injective_iff_samples_monad_separated():
@@ -221,13 +217,14 @@ def test_crosscheck_rejects_a_family_that_drops_a_subbase_set(p):
 
 
 def test_crosscheck_cap_on_wide_closure():
-    # the six generators of discrete3 give a 20-point closure, inside the
-    # point cap, and the crosscheck answers; the eight of discrete4 give a
-    # 48-point closure whose opens pass the family cap, so the embedding
-    # the crosscheck needs is refused
+    # the six generators of discrete3 give a 20-point closure and the eight
+    # of discrete4 a 48-point one, both inside the point cap, the only cap
+    # on a closure; the crosscheck answers on both
     m = build_star(discrete_fragment(3))
     emb = dcomp_embed(m, dyad_family_of(m.presentation))
     assert len(emb.closure_vectors) == 20 and len(emb.closure.opens) == 1907
     assert dcomp_crosscheck(m, emb).homeomorphic
-    with pytest.raises(SizeCapExceeded, match="open family exceeds"):
-        _embed(discrete_fragment(4))
+    m = build_star(discrete_fragment(4))
+    emb = dcomp_embed(m, dyad_family_of(m.presentation))
+    assert len(emb.closure_vectors) == 48 and emb.closure.n == 48
+    assert dcomp_crosscheck(m, emb).homeomorphic

@@ -11,7 +11,7 @@ import random
 import pytest
 
 import oracles
-from topolab import fintop
+from oracles import space_from_opens
 from topolab.corpus import chain_space
 from topolab.errors import SizeCapExceeded
 from topolab.fintop import (
@@ -27,32 +27,34 @@ from topolab.fintop import (
     t0_reflection,
 )
 
-SIERP = FinSpace(2, (0, 1, 3))
-DISCRETE2 = FinSpace(2, (0, 1, 2, 3))
-INDISCRETE2 = FinSpace(2, (0, 3))
-CHAIN4 = FinSpace(4, (0, 1, 3, 7, 15))
+SIERP = FinSpace(2, (0b01, 0b11))
+DISCRETE2 = FinSpace(2, (0b01, 0b10))
+INDISCRETE2 = FinSpace(2, (0b11, 0b11))
+CHAIN4 = FinSpace(4, (0b0001, 0b0011, 0b0111, 0b1111))
 
 
 def test_finspace_validation():
+    # the builder from opens in tests/oracles.py
     with pytest.raises(ValueError):
-        FinSpace(2, (0, 1))           # missing the full set
+        space_from_opens(2, (0, 1))           # missing the full set
     with pytest.raises(ValueError):
-        FinSpace(2, (1, 3))           # missing the empty set
+        space_from_opens(2, (1, 3))           # missing the empty set
     with pytest.raises(ValueError):
-        FinSpace(2, (0, 1, 2, 3, 4))  # mask out of range
+        space_from_opens(2, (0, 1, 2, 3, 4))  # mask out of range
     with pytest.raises(ValueError):
-        FinSpace(3, (0, 3, 5, 7))     # 3 & 5 = 1 missing
+        space_from_opens(3, (0, 3, 5, 7))     # 3 & 5 = 1 missing
     with pytest.raises(SizeCapExceeded):
-        FinSpace(65, (0, (1 << 65) - 1))
-    assert FinSpace(64, (0, (1 << 64) - 1)).n == 64
-    assert FinSpace(2, (3, 0, 3, 1)).opens == (0, 1, 3)  # dedup + sort
+        space_from_opens(65, (0, (1 << 65) - 1))
+    assert space_from_opens(64, (0, (1 << 64) - 1)).n == 64
+    assert space_from_opens(2, (3, 0, 3, 1)).opens == (0, 1, 3)  # dedup + sort
+    assert space_from_opens(2, (0, 1, 3)) == SIERP
 
 
 def test_finspace_from_monads_matches_finspace_from_opens(enumerations):
     for n in range(5):
         for s in enumerations[n]:
-            t = FinSpace(n, (), oracles.monads_by_opens(s))
-            assert t.opens == s.opens and t._monads == s._monads
+            t = space_from_opens(n, s.opens)
+            assert t == s and t.opens == s.opens and t.monads == oracles.monads_by_opens(s)
 
 
 def test_finspace_accepts_exactly_the_monads_of_a_topology(enumerations):
@@ -60,27 +62,27 @@ def test_finspace_accepts_exactly_the_monads_of_a_topology(enumerations):
         monad_tuples = {oracles.monads_by_opens(s) for s in enumerations[n]}
         for monads in itertools.product(range(1 << n), repeat=n):
             if monads in monad_tuples:
-                assert FinSpace(n, (), monads)._monads == monads
+                assert FinSpace(n, monads).monads == monads
             else:
                 with pytest.raises(ValueError):
-                    FinSpace(n, (), monads)
+                    FinSpace(n, monads)
 
 
-def test_finspace_from_monads_refusals(monkeypatch):
+def test_finspace_from_monads_refusals():
     with pytest.raises(ValueError, match="does not hold it"):
-        FinSpace(2, (), (0b10, 0b11))           # 0 outside its own monad
+        FinSpace(2, (0b10, 0b11))           # 0 outside its own monad
     with pytest.raises(ValueError, match="preorder"):
-        FinSpace(3, (), (0b011, 0b110, 0b100))  # 1 in m(0), but m(1) not in m(0)
+        FinSpace(3, (0b011, 0b110, 0b100))  # 1 in m(0), but m(1) not in m(0)
     with pytest.raises(ValueError, match="does not hold it"):
-        FinSpace(2, (), (0b101, 0b10))          # mask out of range
+        FinSpace(2, (0b101, 0b10))          # mask out of range
     with pytest.raises(ValueError, match="monads for"):
-        FinSpace(2, (), (0b01,))
-    with pytest.raises(ValueError, match="not both"):
-        FinSpace(2, (0, 1, 3), (0b01, 0b11))
-    monkeypatch.setattr(fintop, "MAX_FAMILY", 1 << 10)
-    FinSpace(10, (), [1 << x for x in range(10)])
+        FinSpace(2, (0b01,))
     with pytest.raises(SizeCapExceeded):
-        FinSpace(11, (), [1 << x for x in range(11)])
+        FinSpace(65, [1 << x for x in range(65)])
+    # no cap on the opens: 2^64 of them, never listed
+    discrete = FinSpace(64, [1 << x for x in range(64)])
+    assert discrete.is_open((1 << 64) - 1) and discrete.is_open(0b1010)
+    assert discrete.is_closed(1 << 63) and not discrete.is_open(1 << 64)
 
 
 def test_generate_topology_examples():
@@ -115,10 +117,10 @@ def test_monad_examples():
 
 def test_specialization_examples():
     # the specialization order x <= y (x in cl{y}) is y in monad(x)
-    assert SIERP._monads == (0b01, 0b11)
+    assert SIERP.monads == (0b01, 0b11)
     assert (monad(SIERP, 1) >> 0) & 1 and not (monad(SIERP, 0) >> 1) & 1
-    assert INDISCRETE2._monads == (3, 3)
-    assert DISCRETE2._monads == (1, 2)
+    assert INDISCRETE2.monads == (3, 3)
+    assert DISCRETE2.monads == (1, 2)
 
 
 def test_subspace():
@@ -145,10 +147,11 @@ def test_kuratowski_laws(enumerations):
 def test_monad_is_minimum_open(enumerations):
     for spaces in enumerations.values():
         for s in spaces:
+            opens = s.opens
             for x in range(s.n):
                 m = monad(s, x)
                 assert s.is_open(m) and (m >> x) & 1
-                for o in s.opens:
+                for o in opens:
                     if (o >> x) & 1:
                         assert m & ~o == 0
 
@@ -158,9 +161,10 @@ def test_leq_agrees_with_closure(enumerations):
     # taken from the opens
     for spaces in enumerations.values():
         for s in spaces:
+            opens = s.opens
             for x in range(s.n):
                 for y in range(s.n):
-                    in_cl = (oracles.closure_by_opens(s.n, s.opens, 1 << y) >> x) & 1
+                    in_cl = (oracles.closure_by_opens(s.n, opens, 1 << y) >> x) & 1
                     assert ((monad(s, x) >> y) & 1) == in_cl
 
 
@@ -252,6 +256,7 @@ def test_property_report_matches_definitions(enumerations, corpus_models):
         "regular": oracles.regular_witness,
         "completely_regular": oracles.completely_regular_witness,
         "normal": oracles.normal_witness,
+        "all_opens_closed": oracles.all_opens_closed_witness,
     }
     # random spaces on 7 and 8 points, where the normality certificate
     # must both pass and fail
@@ -269,9 +274,31 @@ def test_property_report_matches_definitions(enumerations, corpus_models):
 
 def test_closure_and_interior_match_definitions(enumerations, corpus_models):
     for s in _spaces_under_test(enumerations, corpus_models):
-        masks = range(1 << s.n) if s.n <= 4 else [1 << x for x in range(s.n)] + list(s.opens)
+        opens = s.opens
+        masks = range(1 << s.n) if s.n <= 4 else [1 << x for x in range(s.n)] + list(opens)
         for a in masks:
-            assert closure(s, a) == oracles.closure_by_opens(s.n, s.opens, a)
+            assert closure(s, a) == oracles.closure_by_opens(s.n, opens, a)
+
+
+def test_opens_and_openness_match_definitions(enumerations, corpus_models):
+    # each enumerated space against the family its code word names, from
+    # the scan of every code word, and each corpus model against the
+    # pairwise closure of its subbase masks; every mask, and one past each end
+    cases = []
+    for n in range(5):
+        words = oracles.topology_codes_by_scan(n).tolist()
+        cases += [(s, tuple(o for o in range(1 << n) if (w >> o) & 1))
+                  for s, w in zip(enumerations[n], words, strict=True)]
+    cases += [(m.space, oracles.generate_by_closure(len(m.atoms),
+                                                    [m.frame.mask_of(g) for g in p.subbase]))
+              for _, p, m in corpus_models]
+    for s, family in cases:
+        assert s.opens == family
+        members = set(family)
+        for mask in range(-1, (1 << s.n) + 1):
+            assert s.is_open(mask) == (mask in members), (family, mask)
+            assert s.is_closed(mask) == (0 <= mask <= s.full and s.full ^ mask in members)
+        assert s.is_discrete == (len(family) == 1 << s.n)
 
 
 def test_generate_topology_matches_pairwise_closure(enumerations, corpus_models):
@@ -291,7 +318,7 @@ def test_generate_topology_matches_pairwise_closure(enumerations, corpus_models)
 
 def _accepts(n, family):
     try:
-        FinSpace(n, tuple(family))
+        space_from_opens(n, tuple(family))
     except ValueError:
         return False
     return True
@@ -368,7 +395,7 @@ def test_enumeration_order_and_cap(enumerations):
 # -- homeomorphism search ----------------------------------------------------
 
 def test_iso_examples():
-    relabeled = FinSpace(2, (0, 2, 3))
+    relabeled = space_from_opens(2, (0, 2, 3))
     got = iso_check(SIERP, relabeled)
     assert got == (1, 0)
     assert iso_check(SIERP, DISCRETE2) is None
@@ -377,42 +404,44 @@ def test_iso_examples():
 
 def test_iso_cap():
     # the cap binds only on a search: here every point has the same key
-    big = FinSpace(11, (0, (1 << 11) - 1))
+    big = FinSpace(11, [(1 << 11) - 1] * 11)
     with pytest.raises(SizeCapExceeded):
         iso_check(big, big)
     # keys pairwise distinct: the forced map is checked at any size
     chain16 = chain_space(16)
-    reversed_chain = FinSpace(16, (), [((1 << 16) - 1) ^ ((1 << x) - 1) for x in range(16)])
+    reversed_chain = FinSpace(16, [((1 << 16) - 1) ^ ((1 << x) - 1) for x in range(16)])
     assert iso_check(chain16, reversed_chain) == tuple(range(15, -1, -1))
     # equal invariants and pairwise distinct keys, yet the forced map fails
-    a = FinSpace(6, (), (49, 62, 44, 40, 16, 32))
-    b = FinSpace(6, (), (49, 62, 44, 8, 48, 32))
+    a = FinSpace(6, (49, 62, 44, 40, 16, 32))
+    b = FinSpace(6, (49, 62, 44, 8, 48, 32))
     assert iso_check(a, b) is None and frozenset(b.opens) not in oracles.relabelings(a)
     # invariants that differ answer before any cap
-    assert iso_check(big, FinSpace(11, (), [1 << x for x in range(11)])) is None
+    assert iso_check(big, FinSpace(11, [1 << x for x in range(11)])) is None
 
 
 def _assert_iso_matches_oracle(spaces):
     orbits = [oracles.relabelings(s) for s in spaces]
-    for a, orbit in zip(spaces, orbits):
-        for b in spaces:
+    opens = [s.opens for s in spaces]
+    for a, orbit, a_opens in zip(spaces, orbits, opens):
+        for b, b_opens in zip(spaces, opens):
             got = iso_check(a, b)
-            assert (got is None) == (a.n != b.n or frozenset(b.opens) not in orbit)
+            assert (got is None) == (a.n != b.n or frozenset(b_opens) not in orbit)
             if got is not None:
                 mapped = {sum(1 << got[x] for x in range(a.n) if (o >> x) & 1)
-                          for o in a.opens}
-                assert mapped == set(b.opens)
+                          for o in a_opens}
+                assert mapped == set(b_opens)
 
 
 def test_homeomorphism_test_on_monads_matches_the_opens(enumerations):
     # a bijection is a homeomorphism iff it carries the opens onto the opens
     for n in range(4):
+        opens = {b: set(b.opens) for b in enumerations[n]}
         for a in enumerations[n]:
             for perm in itertools.permutations(range(n)):
                 mapped = {sum(1 << perm[x] for x in range(n) if (o >> x) & 1)
-                          for o in a.opens}
+                          for o in opens[a]}
                 for b in enumerations[n]:
-                    assert is_homeomorphism(a, b, perm) == (mapped == set(b.opens))
+                    assert is_homeomorphism(a, b, perm) == (mapped == opens[b])
 
 
 def test_iso_agrees_with_permutation_search(enumerations):

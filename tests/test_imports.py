@@ -1,6 +1,7 @@
 """Static checks of the package source: each module uses every name it
-imports, and none imports `dataclasses`.  The package's `__init__` only
-re-exports, and a line marked `# noqa: F401` keeps an import on purpose."""
+imports, none imports `dataclasses`, and only a few named functions list
+a space's opens.  The package's `__init__` only re-exports, and a line
+marked `# noqa: F401` keeps an import on purpose."""
 import ast
 from pathlib import Path
 
@@ -56,3 +57,43 @@ def test_no_module_imports_dataclasses():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "dataclasses"]
     assert found == []
+
+
+# `FinSpace.opens` lists every union of the monads, up to 2^n sets.  Only
+# these functions read it: the summary's open count, witnesses printed on
+# a failure path, and the sweep's tables at n <= 4.
+OPENS_READERS = {
+    "cli._summarize", "cli.cmd_enumerate", "fintop.property_report.check_normal",
+    "reflect._class_tables", "reflect._source_classes", "star.sandwich_violations",
+}
+
+
+def opens_readers(source: str, module: str) -> set[str]:
+    """The qualified names of the innermost functions (or classes, or the
+    module) in which an `.opens` attribute is read."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "opens":
+                found.add(".".join([module, *scope]))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_only_the_named_functions_list_the_opens():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= opens_readers(path.read_text(), path.stem)
+    assert found == OPENS_READERS
+
+
+def test_the_check_sees_opens_in_nested_functions():
+    source = ("class A:\n    def f(self, s):\n        def g():\n            return s.opens\n"
+              "        return [o for o in s.monads]\nx = A().opens\n")
+    assert opens_readers(source, "m") == {"m.A.f.g", "m"}

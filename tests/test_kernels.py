@@ -3,9 +3,10 @@ batched reflection kernel the brute-force search per source."""
 import numpy as np
 
 import oracles
+from oracles import space_from_opens
 from topolab import _kernels, reflect
 from topolab.fintop import (
-    FinSpace, enumerate_topologies, iso_check, property_report, t0_reflection, t2_reflection)
+    enumerate_topologies, iso_check, property_report, t0_reflection, t2_reflection)
 from topolab.reflect import _class_tables
 
 
@@ -22,7 +23,7 @@ def test_topology_codes_at_five_points():
     codes = _kernels.topology_codes(5).tolist()
     assert len(codes) == 6942 and codes == sorted(set(codes))
     for code in codes:
-        FinSpace(5, tuple(s for s in range(32) if (code >> s) & 1))
+        space_from_opens(5, tuple(s for s in range(32) if (code >> s) & 1))
 
 
 def _bruteforce(q, tgt):
@@ -38,7 +39,7 @@ def _bruteforce(q, tgt):
 def _counts(n_s, tables, tgt):
     # the sweep passes the target's monads; every open must give the same
     got = []
-    for basis in (tgt._monads, tgt.opens):
+    for basis in (tgt.monads, tgt.opens):
         total, cont, fact = _kernels.reflection_counts(
             n_s, *tables, tgt.n, np.asarray(basis, dtype=np.int64))
         assert total == int(cont.sum())
@@ -91,8 +92,8 @@ def test_reflection_counts_three_point_sample():
 
 
 def test_empty_source_and_empty_target():
-    empty = FinSpace(0, (0,))
-    point = FinSpace(1, (0, 1))
+    empty = space_from_opens(0, (0,))
+    point = space_from_opens(1, (0, 1))
     # the empty map is the one map out of the empty space, into any target
     for tgt in (empty, point):
         assert _counts(0, _class_tables([t0_reflection(empty)]), tgt) == [(1, 1)]
@@ -107,7 +108,7 @@ def test_knocked_out_source_open_breaks_agreement():
     hit = next(i for i, s in enumerate(spaces) if 0b01 in s.opens)
     tables[0][hit, 0b01] = False
     # the identity onto the Sierpinski space pulls {0} back to {0}
-    tgt = FinSpace(2, (0, 1, 3))
+    tgt = space_from_opens(2, (0, 1, 3))
     got = _counts(2, tables, tgt)
     want = [_bruteforce(q, tgt) for q in quotients]
     assert [i for i in range(len(spaces)) if got[i] != want[i]] == [hit]
@@ -117,7 +118,7 @@ def test_knocked_out_quotient_open_shows_as_unfactored(monkeypatch):
     # drop {0} from the quotient of the discrete 2-point space, in the sweep's
     # batch table and in the oracle's per-quotient rows: the identity into
     # the discrete 2-point target no longer factors
-    discrete = FinSpace(2, (0, 1, 2, 3))
+    discrete = space_from_opens(2, (0, 1, 2, 3))
     batch, by_map = reflect._class_tables, oracles.class_tables_by_map
 
     def knocked_batch(quotients):
@@ -147,7 +148,7 @@ def test_knocked_out_quotient_open_shows_as_unfactored(monkeypatch):
         if kind == "t0":
             targets = [s for s in sources if property_report(s).t0]
         else:
-            targets = [FinSpace(n, tuple(range(1 << n))) for n in range(3)]
+            targets = [space_from_opens(n, tuple(range(1 << n))) for n in range(3)]
         failing = set(rep.unfactored_pairs)
         for si, ti in failing:
             for tj, other in enumerate(targets):

@@ -3,6 +3,7 @@ and fields, a hash that agrees with equality, and the `Name(field=...)`
 repr the types printed when they were dataclasses."""
 import pytest
 
+from oracles import space_from_opens
 from topolab._record import Record
 from topolab.cli import PresentationFile, ReportItem, parse_presentation
 from topolab.dcomp import (
@@ -40,7 +41,7 @@ TEXT = "ground omega\nset A = tail(2)\nsubbase A\nsamples 0 1\n"
 PRESENTATION = "SpacePresentation(ground=omega, subbase=(DefSet('tail(2)'),), samples=(0, 1))"
 FRAME = "Frame(threshold=2, period=1, words=(4, 1, 2))"
 MODEL = (f"StarModel(presentation={PRESENTATION}, atoms=(DefSet('tail(2)'), DefSet('{{0}}'), "
-         f"DefSet('{{1}}')), space=FinSpace(n=3, opens=3), embedding=(1, 2), "
+         f"DefSet('{{1}}')), space=FinSpace(n=3, monads=(1, 7, 7)), embedding=(1, 2), "
          f"labels=(None, 0, 1), frame={FRAME})")
 FAMILY = "DyadFamily(maps=(DefSet('tail(2)'),))"
 
@@ -55,19 +56,20 @@ def _embedding():
 
 
 # class, a builder of one instance (called twice for two equal instances),
-# and its repr at the last dataclass version
+# and its repr at the last dataclass version; a FinSpace, which now holds
+# its monads in place of its opens, prints them
 CASES = [
     (Ground, lambda: Ground(None), "omega"),
     (Ground, lambda: Ground(4), "finite(4)"),
     (DefSet, lambda: DefSet(OMEGA, 0b101, 3), "DefSet('{0,2}')"),
-    (FinSpace, lambda: FinSpace(2, (0, 1, 3)), "FinSpace(n=2, opens=3)"),
-    (PropertyReport, lambda: property_report(FinSpace(2, (0, 1, 3))),
+    (FinSpace, lambda: space_from_opens(2, (0, 1, 3)), "FinSpace(n=2, monads=(1, 3))"),
+    (PropertyReport, lambda: property_report(space_from_opens(2, (0, 1, 3))),
      "PropertyReport(t0=True, t1=False, t2=False, regular=False, completely_regular=False, "
      "normal=True, all_opens_closed=False, compact=True, locally_compact=True, "
      "supercompact=True, witnesses=(('t1', (0, 3)), ('t2', (0, 1)), ('regular', (0, 1)), "
      "('completely_regular', (0, 2)), ('all_opens_closed', (1,))))"),
-    (QuotientMap, lambda: t0_reflection(FinSpace(2, (0, 3))),
-     "QuotientMap(source=FinSpace(n=2, opens=2), target=FinSpace(n=1, opens=2), "
+    (QuotientMap, lambda: t0_reflection(space_from_opens(2, (0, 3))),
+     "QuotientMap(source=FinSpace(n=2, monads=(3, 3)), target=FinSpace(n=1, monads=(1,)), "
      "assign=(0, 0))"),
     (SpacePresentation, lambda: _model().presentation, PRESENTATION),
     (Frame, lambda: _model().frame, FRAME),
@@ -83,10 +85,10 @@ CASES = [
      f"StarMap(src={MODEL}, dst={MODEL}, atom_map=(0, 1, 2), continuous=True)"),
     (DyadFamily, lambda: DyadFamily(_model().presentation.subbase), FAMILY),
     (DyadEmbedding, _embedding,
-     f"DyadEmbedding(family={FAMILY}, image_vectors=(0, 1), image=FinSpace(n=2, opens=3), "
-     f"closure_vectors=(0, 1), closure=FinSpace(n=2, opens=3), eval=(1, 1))"),
+     f"DyadEmbedding(family={FAMILY}, image_vectors=(0, 1), image=FinSpace(n=2, monads=(1, 3)), "
+     f"closure_vectors=(0, 1), closure=FinSpace(n=2, monads=(1, 3)), eval=(1, 1))"),
     (CrosscheckReport, lambda: dcomp_crosscheck(_model(), _embedding()),
-     "CrosscheckReport(target=FinSpace(n=2, opens=3), image=FinSpace(n=2, opens=3), "
+     "CrosscheckReport(target=FinSpace(n=2, monads=(1, 3)), image=FinSpace(n=2, monads=(1, 3)), "
      "homeomorphic=True, iso=(0, 1))"),
     (PresentationFile, lambda: parse_presentation(TEXT),
      "PresentationFile(ground=omega, sets=(('A', DefSet('tail(2)')),), subbase=('A',), "
@@ -129,11 +131,13 @@ def test_value_semantics(cls, build, text):
 
 
 def test_finite_space_equality_ignores_how_it_was_built():
-    # from the opens or from the monads: the private caches are not fields
-    by_opens, by_monads = FinSpace(2, (0, 1, 3)), FinSpace(2, (), (1, 3))
-    assert FinSpace._fields == ("n", "opens")
+    # from the opens or from the monads: a space is its monads, so equal
+    # topologies are equal spaces
+    by_opens, by_monads = space_from_opens(2, (0, 1, 3)), FinSpace(2, [1, 3])
+    assert FinSpace._fields == ("n", "monads")
     assert by_opens == by_monads and hash(by_opens) == hash(by_monads)
-    assert by_opens != FinSpace(2, (0, 3)) and by_opens != FinSpace(3, (0, 1, 7))
+    assert by_opens != space_from_opens(2, (0, 3)) and by_opens != space_from_opens(3, (0, 1, 7))
+    assert FinSpace(2, (0b01, 0b11)) != FinSpace(2, (0b11, 0b11))
     assert {by_opens, by_monads} == {by_opens}
 
 

@@ -12,6 +12,7 @@ from oracles import (
     is_topology,
     labeled_sweep,
     retraction_continuous_by_opens,
+    space_from_opens,
 )
 from topolab.errors import NoRetraction
 from topolab.corpus import (
@@ -24,7 +25,6 @@ from topolab.corpus import (
     sierpinski_presentation,
 )
 from topolab.fintop import (
-    FinSpace,
     QuotientMap,
     closure,
     enumerate_topologies,
@@ -37,19 +37,19 @@ from topolab.reflect import _source_classes, _sweep_counts, weak_reflection_swee
 from topolab.setalg import OMEGA, DefSet
 from topolab.star import SpacePresentation, adherence, build_star, model_monad, retraction
 
-SIERP = FinSpace(2, (0, 1, 3))
+SIERP = space_from_opens(2, (0, 1, 3))
 
 
 # -- quotient map validation ------------------------------------------------
 
 def test_quotient_validation():
     with pytest.raises(ValueError):
-        QuotientMap(SIERP, FinSpace(1, (0, 1)), (0,))        # wrong length
+        QuotientMap(SIERP, space_from_opens(1, (0, 1)), (0,))        # wrong length
     with pytest.raises(ValueError):
-        QuotientMap(SIERP, FinSpace(2, (0, 1, 2, 3)), (0, 0))  # not onto
+        QuotientMap(SIERP, space_from_opens(2, (0, 1, 2, 3)), (0, 0))  # not onto
     with pytest.raises(ValueError):
         # identity onto the discrete refinement is not a final topology
-        QuotientMap(SIERP, FinSpace(2, (0, 1, 2, 3)), (0, 1))
+        QuotientMap(SIERP, space_from_opens(2, (0, 1, 2, 3)), (0, 1))
     q = QuotientMap(SIERP, SIERP, (0, 1))
     assert q.is_identity and q.preimage(0b01) == 0b01 and q.image(0b10) == 0b10
 
@@ -79,7 +79,8 @@ def test_final_topology_check_matches_the_subset_scan(enumerations, corpus_model
             assert set(q.target.opens) == final_topology_by_scan(s, q.assign)
     for source, assign in _quotients(enumerations, corpus_models):
         final = final_topology_by_scan(source, assign)
-        q = QuotientMap(source, FinSpace(max(assign, default=-1) + 1, tuple(final)), assign)
+        k = max(assign, default=-1) + 1
+        q = QuotientMap(source, space_from_opens(k, tuple(final)), assign)
         assert set(q.target.opens) == final
 
 
@@ -94,7 +95,7 @@ def test_final_topology_check_rejects_one_open_too_many_or_too_few(enumerations,
             if not is_topology(k, family):
                 continue
             with pytest.raises(ValueError, match="final topology"):
-                QuotientMap(source, FinSpace(k, tuple(family)), assign)
+                QuotientMap(source, space_from_opens(k, tuple(family)), assign)
             rejected += 1
     assert rejected > 1000
 
@@ -102,9 +103,9 @@ def test_final_topology_check_rejects_one_open_too_many_or_too_few(enumerations,
 # -- reflections --------------------------------------------------------------
 
 def test_t0_reflection_examples():
-    assert t0_reflection(FinSpace(2, (0, 3))).target.n == 1
+    assert t0_reflection(space_from_opens(2, (0, 3))).target.n == 1
     assert t0_reflection(SIERP).is_identity
-    q = t0_reflection(FinSpace(3, (0, 3, 7)))
+    q = t0_reflection(space_from_opens(3, (0, 3, 7)))
     assert q.assign == (0, 0, 1) and q.target == SIERP
 
 
@@ -118,9 +119,9 @@ def test_t0_reflection_merges_samples_in_identical_generators():
 
 
 def test_t2_reflection_examples():
-    assert t2_reflection(FinSpace(3, (0, 1, 2, 3, 4, 5, 6, 7))).is_identity
+    assert t2_reflection(space_from_opens(3, (0, 1, 2, 3, 4, 5, 6, 7))).is_identity
     assert t2_reflection(SIERP).target.n == 1
-    two_components = FinSpace(3, (0, 1, 3, 4, 5, 7))  # Sierpinski plus a point
+    two_components = space_from_opens(3, (0, 1, 3, 4, 5, 7))  # Sierpinski plus a point
     q = t2_reflection(two_components)
     assert q.target.n == 2 and q.assign[0] == q.assign[1] != q.assign[2]
 
@@ -320,7 +321,7 @@ def test_factorization_search_examples():
 
     q2 = t2_reflection(m.space)
     const = (0,) * m.space.n
-    assert len(factorizations_through(q2, const, FinSpace(1, (0, 1)))) == 1
+    assert len(factorizations_through(q2, const, space_from_opens(1, (0, 1)))) == 1
 
 
 def test_weak_reflection_small_spaces_by_search(enumerations):
@@ -334,7 +335,7 @@ def test_weak_reflection_small_spaces_by_search(enumerations):
                 assert len(factorizations_through(q, f, tgt)) == 1
         q2 = t2_reflection(src)
         for n_t in range(3):
-            tgt = FinSpace(n_t, tuple(range(1 << n_t)))
+            tgt = space_from_opens(n_t, tuple(range(1 << n_t)))
             for f in continuous_point_maps(src, tgt):
                 assert len(factorizations_through(q2, f, tgt)) >= 1
 

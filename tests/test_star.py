@@ -360,6 +360,20 @@ def test_density(chain3, ninf3, disc3):
     assert density_violations(build_star(partition_fragment(2))) == []
 
 
+def test_density_witness_is_the_least_open_without_a_standard_atom(named_models):
+    # on the corpus and enumerated models, and on each enumerated model
+    # again with point 0 as its only sample, where density mostly fails
+    models = [m for _, m in named_models]
+    models += [build_star(SpacePresentation(m.presentation.ground, m.presentation.subbase, (0,)))
+               for _, m in named_models if m.presentation.ground.size]
+    failing = 0
+    for m in models:
+        want = oracles.density_by_opens(m)
+        assert density_violations(m) == want[:1], m.presentation
+        failing += bool(want)
+    assert failing > 300
+
+
 def test_sandwich_where_coverage_holds(corpus_models):
     for name, p, m in corpus_models:
         if robinson_coverage(m).covered:
@@ -592,7 +606,7 @@ def test_fragment_continuity_matches_the_preimage_of_every_open(corpus_models,
         cases += [(f, m, m) for f in _self_maps(m.presentation.ground)]
     for _, m, s in enum_models:
         ground = m.presentation.ground
-        discrete = build_star(presentation_of_space(FinSpace(s.n, tuple(range(1 << s.n)))))
+        discrete = build_star(presentation_of_space(FinSpace(s.n, [1 << x for x in range(s.n)])))
         rotate = DefMap(ground, tuple((x + 1) % s.n for x in range(s.n)))
         cases += [(f, m, m) for f in _self_maps(ground) + [rotate]]
         cases += [(DefMap.identity(ground), m, discrete), (DefMap.identity(ground), discrete, m)]
