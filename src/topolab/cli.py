@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import fintop
-from ._record import Record, _set
+from ._record import Record
 from .corpus import chain_space
 from .dcomp import check_family_continuous, dcomp_crosscheck, dcomp_embed, dyad_family_of
 from .errors import (
@@ -38,7 +38,7 @@ from .fintop import (
     t0_reflection,
     t2_reflection,
 )
-from .setalg import OMEGA, PERIOD_CAP, DefSet, Ground, parse_set_expr
+from .setalg import OMEGA, PERIOD_CAP, DefSet, Ground, parse_number, parse_set_expr
 from .star import (
     DefMap,
     SpacePresentation,
@@ -68,15 +68,7 @@ class PresentationFile(Record):
     """Parsed presentation: named sets, subbase and sample selections, maps."""
 
     __slots__ = ("ground", "sets", "subbase", "samples", "maps")
-
-    def __init__(self, ground: Ground, sets: tuple[tuple[str, DefSet], ...],
-                 subbase: tuple[str, ...], samples: tuple[int, ...],
-                 maps: tuple[tuple[str, DefMap], ...] = ()):
-        _set(self, "ground", ground)
-        _set(self, "sets", sets)
-        _set(self, "subbase", subbase)
-        _set(self, "samples", samples)
-        _set(self, "maps", maps)
+    _defaults = {"maps": ()}
 
     def presentation(self) -> SpacePresentation:
         named = dict(self.sets)
@@ -94,12 +86,12 @@ def _parse_map_body(body: str, ground: Ground, lineno: int) -> DefMap:
         raise ParseError("map body must start with 'table'", line=lineno)
     pairs = {}
     for tok in toks[1:]:
-        m, colon, v = tok.partition(":")
-        if not colon or not m.isdigit() or not v.isdigit():
-            raise ParseError(f"bad table entry {tok!r}", line=lineno)
-        if int(m) in pairs:
+        m, _, v = tok.partition(":")  # with no colon, v is "", which is no number
+        bad = f"bad table entry {tok!r}"
+        point, value = parse_number(m, bad, line=lineno), parse_number(v, bad, line=lineno)
+        if point in pairs:
             raise ParseError(f"duplicate table entry for {m}", line=lineno)
-        pairs[int(m)] = int(v)
+        pairs[point] = value
     if ground.is_finite:
         if semi:
             raise ParseError("finite-ground maps take no periodic part", line=lineno)
@@ -116,9 +108,8 @@ def _parse_map_body(body: str, ground: Ground, lineno: int) -> DefMap:
     rtoks = rule_part.split()
     if len(rtoks) < 3 or rtoks[0] != "periodic":
         raise ParseError("expected 'periodic t p' after ';'", line=lineno)
-    if not rtoks[1].isdigit() or not rtoks[2].isdigit():
-        raise ParseError("periodic needs numeric t and p", line=lineno)
-    t, p = int(rtoks[1]), int(rtoks[2])
+    t, p = (parse_number(tok, "periodic needs numeric t and p", line=lineno)
+            for tok in rtoks[1:3])
     if p < 1:
         raise ParseError("period must be at least 1", line=lineno)
     table = []
@@ -135,18 +126,15 @@ def _parse_map_body(body: str, ground: Ground, lineno: int) -> DefMap:
                          line=lineno)
     for i in range(p):
         rtok, kind, val = rest[3 * i: 3 * i + 3]
-        if not rtok.endswith(":") or not rtok[:-1].isdigit():
+        if not rtok.endswith(":"):
             raise ParseError(f"bad residue tag {rtok!r}", line=lineno)
-        r = int(rtok[:-1])
+        r = parse_number(rtok[:-1], f"bad residue tag {rtok!r}", line=lineno)
         if not 0 <= r < p or rules[r] is not None:
             raise ParseError(f"residue {r} out of range or repeated", line=lineno)
         if kind not in ("const", "shift"):
             raise ParseError(f"unknown rule kind {kind!r}", line=lineno)
-        try:
-            arg = int(val)
-        except ValueError:
-            raise ParseError(f"bad rule argument {val!r}", line=lineno) from None
-        rules[r] = (kind, arg)
+        rules[r] = (kind, parse_number(val, f"bad rule argument {val!r}", signed=True,
+                                       line=lineno))
     try:
         return DefMap(ground, tuple(table), tuple(rules))  # type: ignore[arg-type]
     except (ValueError, TopolabError) as exc:
@@ -175,9 +163,9 @@ def parse_presentation(text: str) -> PresentationFile:
                 ground = OMEGA
             else:
                 kind, _, num = rest.partition(" ")
-                if kind != "finite" or not num.strip().isdigit():
+                if kind != "finite":
                     raise ParseError(f"bad ground {rest!r}", line=lineno)
-                ground = Ground(int(num))
+                ground = Ground(parse_number(num.strip(), f"bad ground {rest!r}", line=lineno))
         elif head == "set":
             if ground is None:
                 raise ParseError("ground must be declared before sets", line=lineno)
@@ -210,10 +198,8 @@ def parse_presentation(text: str) -> PresentationFile:
         elif head == "samples":
             if samples is not None:
                 raise ParseError("duplicate samples line", line=lineno)
-            vals = rest.split()
-            if not all(v.isdigit() for v in vals):
-                raise ParseError("samples must be natural numbers", line=lineno)
-            samples = tuple(int(v) for v in vals)
+            samples = tuple(parse_number(v, "samples must be natural numbers", line=lineno)
+                            for v in rest.split())
             # each value's column, for the ground check after the last line
             tokens = re.finditer(r"\S+", raw.split("#", 1)[0])
             samples_at = lineno, [t.start() + 1 for t in tokens][1:]
@@ -255,12 +241,7 @@ def parse_presentation(text: str) -> PresentationFile:
 
 class ReportItem(Record):
     __slots__ = ("name", "status", "detail", "witness")
-
-    def __init__(self, name: str, status: str, detail: str = "", witness: str = ""):
-        _set(self, "name", name)
-        _set(self, "status", status)
-        _set(self, "detail", detail)
-        _set(self, "witness", witness)
+    _defaults = {"detail": "", "witness": ""}
 
 
 class Report:
@@ -569,6 +550,12 @@ def run(args: argparse.Namespace) -> Report:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Catches only `TopolabError` and `OSError`, so a defect is a traceback,
+    not a failed check.  No value type's `ValueError` reaches it: the parser
+    refuses a duplicate sample before `SpacePresentation` would, and a zero
+    `ap` step, and passes on natural numbers only, read by `parse_number`
+    (which raises `ParseError` alone); `_parse_map_body` turns `DefMap`'s
+    `ValueError`s into `ParseError`s; `RetractionMap` validates nothing."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

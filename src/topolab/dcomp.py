@@ -10,13 +10,11 @@ image is the T0 reflection of the star model.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 from ._record import Record, _set
 from .errors import FamilyTooLarge, GroundMismatch, SizeCapExceeded
 from .fintop import MAX_POINTS, FinSpace, generate_topology, is_homeomorphism, t0_reflection
 # unused here, but topobench's tracer self-test checks that this binding is patched
-from .setalg import DefSet, ds_combine  # noqa: F401
+from .setalg import ds_combine  # noqa: F401
 from .star import SpacePresentation, StarModel, is_fragment_open, star_of
 
 FAMILY_CAP = 16
@@ -28,11 +26,8 @@ class DyadFamily(Record):
 
     __slots__ = ("maps",)
 
-    def __init__(self, maps: Sequence[DefSet]):
-        _set(self, "maps", tuple(maps))
-        self.__post_init__()
-
     def __post_init__(self):
+        _set(self, "maps", tuple(self.maps))
         grounds = {g.ground for g in self.maps}
         if len(grounds) > 1:
             raise GroundMismatch("family members span several grounds")
@@ -53,15 +48,6 @@ class DyadEmbedding(Record):
     the product-closure subspace, and where the samples land."""
 
     __slots__ = ("family", "image_vectors", "image", "closure_vectors", "closure", "eval")
-
-    def __init__(self, family: DyadFamily, image_vectors: tuple[int, ...], image: FinSpace,
-                 closure_vectors: tuple[int, ...], closure: FinSpace, eval: tuple[int, ...]):
-        _set(self, "family", family)
-        _set(self, "image_vectors", image_vectors)
-        _set(self, "image", image)
-        _set(self, "closure_vectors", closure_vectors)
-        _set(self, "closure", closure)
-        _set(self, "eval", eval)
 
 
 def _cylinder_space(vectors: tuple[int, ...], k: int) -> FinSpace:
@@ -127,13 +113,6 @@ class CrosscheckReport(Record):
     homeomorphism as the image index of each target point."""
 
     __slots__ = ("target", "image", "homeomorphic", "iso")
-
-    def __init__(self, target: FinSpace, image: FinSpace, homeomorphic: bool,
-                 iso: tuple[int, ...] | None):
-        _set(self, "target", target)
-        _set(self, "image", image)
-        _set(self, "homeomorphic", homeomorphic)
-        _set(self, "iso", iso)
 
 
 def dcomp_crosscheck(m: StarModel, emb: DyadEmbedding) -> CrosscheckReport:

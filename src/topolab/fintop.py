@@ -48,12 +48,8 @@ class FinSpace(Record):
 
     __slots__ = ("n", "monads")
 
-    def __init__(self, n: int, monads: Sequence[int]):
-        _set(self, "n", n)
-        _set(self, "monads", tuple(monads))
-        self.__post_init__()
-
     def __post_init__(self):
+        _set(self, "monads", tuple(self.monads))
         if not 0 <= self.n <= MAX_POINTS:
             raise SizeCapExceeded(f"point count {self.n} outside [0, {MAX_POINTS}]")
         monads, full = self.monads, self.full
@@ -146,11 +142,8 @@ class PropertyReport(Record):
     __slots__ = PROPERTY_FLAGS + ("witnesses",)
 
     def __init__(self, witnesses: tuple[tuple[str, tuple[int, ...]], ...], **flags: bool):
-        if flags.keys() != set(PROPERTY_FLAGS):
-            raise TypeError(f"PropertyReport takes the flags {PROPERTY_FLAGS} by name")
-        for name in PROPERTY_FLAGS:
-            _set(self, name, flags[name])
-        _set(self, "witnesses", witnesses)
+        """The witnesses first, then every flag by name."""
+        self._init(witnesses=witnesses, **flags)
 
     def flags(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in PROPERTY_FLAGS}
@@ -389,12 +382,6 @@ class QuotientMap(Record):
     """
 
     __slots__ = ("source", "target", "assign")
-
-    def __init__(self, source: FinSpace, target: FinSpace, assign: tuple[int, ...]):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "assign", assign)
-        self.__post_init__()
 
     def __post_init__(self):
         _set(self, "assign", tuple(self.assign))

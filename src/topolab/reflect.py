@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from ._record import Record, _set
+from ._record import Record
 from .fintop import (
     FinSpace,
     QuotientMap,
@@ -33,15 +33,6 @@ class SweepReport(Record):
     index pairs; `nonunique_pairs` is structurally empty (see there)."""
 
     __slots__ = ("sources", "targets", "maps", "unfactored_pairs", "nonunique_pairs")
-
-    def __init__(self, sources: int, targets: int, maps: int,
-                 unfactored_pairs: tuple[tuple[int, int], ...],
-                 nonunique_pairs: tuple[tuple[int, int], ...]):
-        _set(self, "sources", sources)
-        _set(self, "targets", targets)
-        _set(self, "maps", maps)
-        _set(self, "unfactored_pairs", unfactored_pairs)
-        _set(self, "nonunique_pairs", nonunique_pairs)
 
 
 def _class_tables(quotients: list[QuotientMap]) -> list[np.ndarray]:

@@ -33,6 +33,8 @@ PERIOD_CAP = 1 << 20
 GENERATOR_CAP = 16
 MAX_ATOMS = 16
 MAX_NESTING = 100  # `(` and `!` levels in one set expression, well inside the recursion limit
+# digits in one number: the least limit `int()` can be set to, so no setting refuses one
+MAX_DIGITS = 640
 
 
 class Ground(Record):
@@ -40,10 +42,7 @@ class Ground(Record):
     A finite ground has at most PERIOD_CAP points, so a set's bitmask does too."""
 
     __slots__ = ("size",)
-
-    def __init__(self, size: int | None = None):
-        _set(self, "size", size)
-        self.__post_init__()
+    _defaults = {"size": None}
 
     def __post_init__(self):
         if self.size is not None and self.size < 0:
@@ -103,15 +102,7 @@ class DefSet(Record):
     """
 
     __slots__ = ("ground", "low", "threshold", "period", "residues")
-
-    def __init__(self, ground: Ground, low: int, threshold: int, period: int = 1,
-                 residues: int = 0):
-        _set(self, "ground", ground)
-        _set(self, "low", low)
-        _set(self, "threshold", threshold)
-        _set(self, "period", period)
-        _set(self, "residues", residues)
-        self.__post_init__()
+    _defaults = {"period": 1, "residues": 0}
 
     def __post_init__(self):
         if self.threshold < 0 or self.period < 1:
@@ -364,8 +355,25 @@ def atoms_of(gens: Sequence[DefSet], ground: Ground) -> list[DefSet]:
 
 # -- set expression parser -------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([{}(),&|!]))")
-_LITERAL = re.compile(r"\{\s*(\d+\s*(?:,\s*\d+\s*)*)?\}")
+
+def parse_number(text: str, error: str = "bad number", *, signed: bool = False,
+                 line: int | None = None, col: int | None = None) -> int:
+    """The value of a numeral of ASCII digits (after a `-` if signed), read
+    by `int()` only once it has at most MAX_DIGITS; anything else is a
+    ParseError.  `int()` refuses `²`, which `str.isdigit` passes, and reads `٣`."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(error, line=line, col=col)
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"number of {len(digits)} digits exceeds {MAX_DIGITS}",
+                         line=line, col=col)
+    return int(text)
+
+
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([{}(),&|!]))")
+# a literal with a longer number is left to the parser, which refuses it
+_LITERAL = re.compile(
+    r"\{\s*([0-9]{1,%d}\s*(?:,\s*[0-9]{1,%d}\s*)*)?\}" % (MAX_DIGITS, MAX_DIGITS))
 
 
 def _tokenize(text: str) -> list[tuple]:
@@ -410,6 +418,10 @@ class _ExprParser:
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def number(self) -> int:
+        tok = self.take("num")
+        return parse_number(tok[1], col=tok[2])
 
     def take(self, kind: str, value: str | None = None):
         tok = self.peek()
@@ -465,16 +477,16 @@ class _ExprParser:
             self.i += 1
             if tok[1] == "ap":
                 self.take("punct", "(")
-                s = int(self.take("num")[1])
+                s = self.number()
                 self.take("punct", ",")
-                p = int(self.take("num")[1])
+                p = self.number()
                 self.take("punct", ")")
                 if p < 1:
                     raise ParseError("ap needs step >= 1", col=tok[2])
                 return DefSet.arithmetic(self.ground, s, p)
             if tok[1] == "tail":
                 self.take("punct", "(")
-                t = int(self.take("num")[1])
+                t = self.number()
                 self.take("punct", ")")
                 return DefSet.tail(self.ground, t)
             if tok[1] in self.names:
@@ -488,7 +500,7 @@ class _ExprParser:
     def literal(self) -> None:
         open_tok = self.take("punct", "{")
         while True:
-            self.take("num")
+            self.number()
             tok = self.peek()
             if tok is None:
                 raise ParseError("unterminated set literal", col=open_tok[2])

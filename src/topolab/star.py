@@ -51,13 +51,9 @@ class SpacePresentation(Record):
 
     __slots__ = ("ground", "subbase", "samples")
 
-    def __init__(self, ground: Ground, subbase: Sequence[DefSet], samples: Sequence[int]):
-        _set(self, "ground", ground)
-        _set(self, "subbase", tuple(subbase))
-        _set(self, "samples", tuple(samples))
-        self.__post_init__()
-
     def __post_init__(self):
+        _set(self, "subbase", tuple(self.subbase))
+        _set(self, "samples", tuple(self.samples))
         for g in self.subbase:
             if g.ground != self.ground:
                 raise GroundMismatch(f"subbase set over {g.ground!r}, not {self.ground!r}")
@@ -86,11 +82,6 @@ class Frame(Record):
     """
 
     __slots__ = ("threshold", "period", "words")
-
-    def __init__(self, threshold: int, period: int, words: tuple[int, ...]):
-        _set(self, "threshold", threshold)
-        _set(self, "period", period)
-        _set(self, "words", words)
 
     @staticmethod
     def of(atoms: Sequence[DefSet]) -> "Frame":
@@ -129,16 +120,6 @@ class StarModel(Record):
     """
 
     __slots__ = ("presentation", "atoms", "space", "embedding", "labels", "frame")
-
-    def __init__(self, presentation: SpacePresentation, atoms: tuple[DefSet, ...],
-                 space: FinSpace, embedding: tuple[int, ...], labels: tuple[int | None, ...],
-                 frame: Frame):
-        _set(self, "presentation", presentation)
-        _set(self, "atoms", atoms)
-        _set(self, "space", space)
-        _set(self, "embedding", embedding)
-        _set(self, "labels", labels)
-        _set(self, "frame", frame)
 
     @property
     def standard_mask(self) -> int:
@@ -207,10 +188,6 @@ class RetractionMap(Record):
     atoms."""
 
     __slots__ = ("model", "assign")
-
-    def __init__(self, model: StarModel, assign: tuple[frozenset[int], ...]):
-        _set(self, "model", model)
-        _set(self, "assign", assign)
 
 
 def retraction(m: StarModel) -> RetractionMap:
@@ -313,10 +290,6 @@ def is_fragment_open(m: StarModel, a: DefSet) -> bool:
 class CoverageReport(Record):
     __slots__ = ("covered", "uncovered")
 
-    def __init__(self, covered: bool, uncovered: tuple[int, ...]):
-        _set(self, "covered", covered)
-        _set(self, "uncovered", uncovered)
-
 
 def robinson_coverage(m: StarModel) -> CoverageReport:
     """Which atoms miss every standard monad.
@@ -392,14 +365,11 @@ class DefMap(Record):
     class r mod len(rules) either ("const", c) or ("shift", d)."""
 
     __slots__ = ("ground", "table", "rules")
-
-    def __init__(self, ground: Ground, table: Sequence[int], rules: Sequence[Rule] = ()):
-        _set(self, "ground", ground)
-        _set(self, "table", tuple(table))
-        _set(self, "rules", tuple(rules))
-        self.__post_init__()
+    _defaults = {"rules": ()}
 
     def __post_init__(self):
+        _set(self, "table", tuple(self.table))
+        _set(self, "rules", tuple(self.rules))
         if self.ground.is_finite:
             if self.rules:
                 raise ValueError("finite-ground maps are plain tables")
@@ -508,13 +478,6 @@ class StarMap(Record):
     """Induced atom map between two models, with its continuity verdict."""
 
     __slots__ = ("src", "dst", "atom_map", "continuous")
-
-    def __init__(self, src: StarModel, dst: StarModel, atom_map: tuple[int, ...],
-                 continuous: bool):
-        _set(self, "src", src)
-        _set(self, "dst", dst)
-        _set(self, "atom_map", atom_map)
-        _set(self, "continuous", continuous)
 
     def __call__(self, atom: int) -> int:
         return self.atom_map[atom]

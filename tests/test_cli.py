@@ -226,6 +226,59 @@ def test_exit_two_on_a_file_that_is_not_utf8(tmp_path, capsys):
         f"error: {path} is not UTF-8: invalid start byte at byte 24\n")
 
 
+# every place a presentation file holds a number, as (text with N for the
+# number, line, column of N or None where the line names none)
+NUMBER_SITES = {
+    "ground": ("ground finite N\nsubbase\nsamples\n", 1, None),
+    "samples": ("ground omega\nsubbase\nsamples 0 N\n", 3, None),
+    "table-point": ("ground omega\nsubbase\nsamples\nmap f = table N:0 ; periodic 1 1 0: shift 0\n",
+                    4, None),
+    "table-value": ("ground omega\nsubbase\nsamples\nmap f = table 0:N ; periodic 1 1 0: shift 0\n",
+                    4, None),
+    "periodic": ("ground omega\nsubbase\nsamples\nmap f = table ; periodic N 1 0: shift 0\n",
+                 4, None),
+    "residue-tag": ("ground omega\nsubbase\nsamples\nmap f = table ; periodic 0 1 N: shift 0\n",
+                    4, None),
+    "rule-argument": ("ground omega\nsubbase\nsamples\nmap f = table ; periodic 0 1 0: shift N\n",
+                      4, None),
+    "literal": ("ground omega\nset A = {0, N}\nsubbase A\nsamples\n", 2, 13),
+    "ap": ("ground omega\nset A = ap(0,N)\nsubbase A\nsamples\n", 2, 14),
+    "tail": ("ground omega\nset A = tail(N)\nsubbase A\nsamples\n", 2, 14),
+}
+
+
+@pytest.mark.parametrize("number", ["²", "٣", "1" * 5000, "0" * 641 + "1"],
+                         ids=["superscript", "arabic-indic", "5000-digits", "641-zeros"])
+@pytest.mark.parametrize("site", NUMBER_SITES)
+def test_exit_two_on_a_malformed_number_at_every_site(site, number, tmp_path, capsys):
+    # `str.isdigit` holds for `²`, which `int()` rejects; `int()` reads `٣`
+    # as 3 and refuses more than 4,300 digits; numbers are ASCII, 640 digits
+    # at most
+    text, line, col = NUMBER_SITES[site]
+    path = tmp_path / "number.top"
+    path.write_text(text.replace("N", number))
+    assert main(["star", str(path)]) == 2
+    out = capsys.readouterr()
+    where = f"line {line}" if col is None else f"line {line}, col {col}"
+    assert out.out == "" and out.err.startswith(f"error: {where}: ")
+    if len(number) > 1:
+        assert f"number of {len(number)} digits exceeds 640" in out.err
+
+
+def test_numbers_of_ascii_digits_up_to_the_digit_cap_are_read():
+    three, zero = "0" * 639 + "3", "0" * 640
+    pf = parse_presentation(f"ground finite {zero[:-2]}43\nset A = {{{three}}} | "
+                            f"ap({three},{three})\nsubbase A\nsamples {three}\n")
+    assert pf.ground.size == 43 and pf.samples == (3,)
+    assert dict(pf.sets)["A"] == parse_presentation(
+        "ground finite 43\nset A = ap(3,3)\nsubbase A\nsamples\n").sets[0][1]
+    pf = parse_presentation(f"ground omega\nset A = tail({three})\nsubbase A\nsamples\nmap f = "
+                            f"table {zero}:{three} 1:1 2:2 ; periodic 3 1 0: shift -{three}")
+    assert dict(pf.sets)["A"].threshold == 3
+    f = dict(pf.maps)["f"]
+    assert f.table == (3, 1, 2) and f.rules == (("shift", -3),)
+
+
 @pytest.mark.parametrize("expr", ["(" * 10000 + "{1}" + ")" * 10000, "!" * 10000 + "{1}"],
                          ids=["parens", "bangs"])
 def test_deep_nesting_exits_two_within_two_seconds(tmp_path, expr):

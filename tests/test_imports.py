@@ -1,7 +1,8 @@
 """Static checks of the package source: each module uses every name it
-imports, none imports `dataclasses`, and only a few named functions list
-a space's opens.  The package's `__init__` only re-exports, and a line
-marked `# noqa: F401` keeps an import on purpose."""
+imports, none imports `dataclasses`, only a few named functions list a
+space's opens, and the value types take their constructor from `Record`.
+The package's `__init__` only re-exports, and a line marked
+`# noqa: F401` keeps an import on purpose."""
 import ast
 from pathlib import Path
 
@@ -97,3 +98,51 @@ def test_the_check_sees_opens_in_nested_functions():
     source = ("class A:\n    def f(self, s):\n        def g():\n            return s.opens\n"
               "        return [o for o in s.monads]\nx = A().opens\n")
     assert opens_readers(source, "m") == {"m.A.f.g", "m"}
+
+
+# `_record.Record` builds each value type's constructor from its `__slots__`;
+# `PropertyReport` keeps its own, which takes the witnesses first and the
+# flags by name
+OWN_CONSTRUCTORS = {"fintop.PropertyReport"}
+
+
+def constructor_findings(source: str, module: str) -> list[str]:
+    """The `Record` subclasses that define `__init__`, and the calls
+    `_set(self, ...)` made outside a `__post_init__` body."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if (any(isinstance(b, ast.Name) and b.id == "Record" for b in child.bases)
+                        and any(isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                                for f in child.body)):
+                    found.append(f"{module}.{child.name} defines __init__")
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "_set" and child.args
+                    and isinstance(child.args[0], ast.Name) and child.args[0].id == "self"
+                    and scope[-1:] != ["__post_init__"]):
+                where = scope[-1] if scope else "the module"
+                found.append(f"{module}:{child.lineno} _set(self, ...) in {where}")
+            visit(child, scope + [child.name] if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_value_types_take_their_constructor_from_record():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "_record.py":
+            found += constructor_findings(path.read_text(), path.stem)
+    assert found == [f"{name} defines __init__" for name in sorted(OWN_CONSTRUCTORS)]
+
+
+def test_the_check_sees_constructors_and_field_writes():
+    source = ("class A(Record):\n    def __init__(self, x):\n        _set(self, 'x', x)\n"
+              "    def __post_init__(self):\n        _set(self, 'x', 1)\n"
+              "        def inner():\n            _set(self, 'y', 2)\n"
+              "class B:\n    def __init__(self):\n        _set(other, 'x', 1)\n")
+    assert constructor_findings(source, "m") == [
+        "m.A defines __init__", "m:3 _set(self, ...) in __init__", "m:7 _set(self, ...) in inner"]
